@@ -29,6 +29,24 @@ func multiFleetConfig(intra netsim.Config, mc MultiConfig) Config {
 	return cfg
 }
 
+// regionsBrownoutConfig is the multi-region headline fleet: sharded
+// per-region stores, 2-way replication, pairwise seeder aggregation and
+// a long-haul brownout over the propagation window.
+func regionsBrownoutConfig() Config {
+	return multiFleetConfig(
+		netsim.Config{BaseLatency: 0.02},
+		MultiConfig{
+			NodesPerRegion:   3,
+			Replicas:         2,
+			PropagateEvery:   60,
+			AggregateSeeders: 2,
+			InterNet: netsim.Config{
+				BaseLatency: 0.3,
+				Faults:      []netsim.Fault{netsim.BrownoutPrefix(250, 900, 0.9, 0.5, "inter:")},
+			},
+		})
+}
+
 // TestFleetRegionsDeterminism is the multi-region headline test: with
 // sharded per-region stores, 2-way replication, seeder aggregation and
 // a long-haul brownout over the propagation window, the fleet degrades
@@ -47,18 +65,7 @@ func TestFleetRegionsDeterminism(t *testing.T) {
 		propFail  int
 	}
 	do := func(workers int, tel *telemetry.Set) run {
-		cfg := multiFleetConfig(
-			netsim.Config{BaseLatency: 0.02},
-			MultiConfig{
-				NodesPerRegion:   3,
-				Replicas:         2,
-				PropagateEvery:   60,
-				AggregateSeeders: 2,
-				InterNet: netsim.Config{
-					BaseLatency: 0.3,
-					Faults:      []netsim.Fault{netsim.BrownoutPrefix(250, 900, 0.9, 0.5, "inter:")},
-				},
-			})
+		cfg := regionsBrownoutConfig()
 		cfg.Workers = workers
 		cfg.Telem = tel
 		f, ticks := runDeployment(t, cfg, 4000)

@@ -194,6 +194,21 @@ func TestPoolBackfillDuringBrownout(t *testing.T) {
 	}
 }
 
+// pooledLazyConfig turns on pooling, throttled backfill, lazy warmup
+// and the defect paths together.
+func pooledLazyConfig() Config {
+	cfg := poolConfig(12, 0.02)
+	cfg.DefectRate = 0.8
+	cfg.ValidationCatchRate = 0.2
+	cfg.CrashDelay = 20
+	cfg.WarmupMode = jumpstart.WarmupLazy
+	cfg.CurveLazy = WarmupCurve{
+		Times:  []float64{0, 20, 120, 300},
+		Values: []float64{0.55, 0.7, 0.9, 1.0},
+	}
+	return cfg
+}
+
 // TestPooledLazyDeterminism extends the fleet determinism contract to
 // the new tier: with pooling, throttled backfill, lazy warmup and the
 // defect paths all active, the tick series, pool accounting and boot
@@ -202,15 +217,7 @@ func TestPoolBackfillDuringBrownout(t *testing.T) {
 // detector on.
 func TestPooledLazyDeterminism(t *testing.T) {
 	run := func(workers int) ([]FleetTick, PoolStats, int, int, int) {
-		cfg := poolConfig(12, 0.02)
-		cfg.DefectRate = 0.8
-		cfg.ValidationCatchRate = 0.2
-		cfg.CrashDelay = 20
-		cfg.WarmupMode = jumpstart.WarmupLazy
-		cfg.CurveLazy = WarmupCurve{
-			Times:  []float64{0, 20, 120, 300},
-			Values: []float64{0.55, 0.7, 0.9, 1.0},
-		}
+		cfg := pooledLazyConfig()
 		cfg.Workers = workers
 		f, err := NewFleet(cfg)
 		if err != nil {
