@@ -17,23 +17,18 @@ AUTOTUNE_COVER_FLOOR ?= 80
 
 .PHONY: build test bench alloccheck verify cover faultsweep churnsweep regionsweep obssweep poolsweep scenariosweep
 
-BENCH_DATE ?= $(shell date +%Y-%m-%d)
-
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
 
-# Benchmark trajectory: run the figure benchmarks and record every
-# metric (ns/op per figure, custom headline metrics, replay-cache hit
-# rate) as a dated JSON file. CI uploads it as an artifact; A/B the
-# replay cache with:
-#   go test -bench=. -benchmem . -replay-cache=off
+# The repo benchmark (bench/, its own Go module; see bench/README.md
+# and BENCHMARK.json): every workload, one child process each, each op
+# on a fresh Lab/Server/Fleet. For one workload, more passes or
+# -compare, call bench/run.sh with arguments directly.
 bench:
-	$(GO) test -bench=. -benchmem . > bench.out || { cat bench.out; exit 1; }
-	cat bench.out
-	$(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json bench.out
+	bash bench/run.sh
 
 # Allocation regressions: the interpreter hot path must stay at zero
 # machinery allocations, the steady-state request path under its
@@ -50,6 +45,10 @@ alloccheck:
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# The *sweep targets below are developer shortcuts, not CI steps: each
+# re-runs, verbosely and under -race, a subset of what `verify` just
+# ran, for iterating on one subsystem.
 
 # Fault-injection gate: the store-brownout determinism test, which
 # re-runs the faulted fleet at -workers 1, 4, and NumCPU under the

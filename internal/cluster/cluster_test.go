@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"jumpstart/internal/server"
@@ -249,10 +250,40 @@ func TestValidationReducesCrashes(t *testing.T) {
 }
 
 func TestFleetConfigValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Regions = 0
-	if _, err := NewFleet(cfg); err == nil {
-		t.Fatal("invalid dimensions accepted")
+	for name, mutate := range map[string]func(*Config){
+		"zero regions":   func(c *Config) { c.Regions = 0 },
+		"zero tick":      func(c *Config) { c.TickSeconds = 0 },
+		"negative tick":  func(c *Config) { c.TickSeconds = -5 },
+		"NaN tick":       func(c *Config) { c.TickSeconds = math.NaN() },
+		"ragged base":    func(c *Config) { c.CurveJumpStart.Values = c.CurveJumpStart.Values[1:] },
+		"ragged flavour": func(c *Config) { c.CurveLazy = WarmupCurve{Times: []float64{0, 1}, Values: []float64{1}} },
+		"values only":    func(c *Config) { c.CurvePooled = WarmupCurve{Values: []float64{1}} },
+		"descending times": func(c *Config) {
+			c.CurveRemapped = WarmupCurve{Times: []float64{0, 5, 3}, Values: []float64{0, 0.5, 1}}
+		},
+		"NaN time": func(c *Config) {
+			c.CurveFailover = WarmupCurve{Times: []float64{0, math.NaN()}, Values: []float64{0, 1}}
+		},
+	} {
+		cfg := fleetConfig(true)
+		mutate(&cfg)
+		if _, err := NewFleet(cfg); err == nil {
+			t.Errorf("%s: invalid config accepted", name)
+		}
+	}
+	// Repeated times are a step, not an error: At never divides by the
+	// zero-width segment.
+	cfg := fleetConfig(true)
+	cfg.CurveJumpStart = WarmupCurve{Times: []float64{0, 10, 10, 20}, Values: []float64{0, 0.4, 0.8, 1}}
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatalf("stepped curve rejected: %v", err)
+	}
+	f.StartDeployment()
+	for _, tk := range f.Run(1000) {
+		if math.IsNaN(tk.Capacity) {
+			t.Fatalf("stepped curve interpolated to NaN at t=%v", tk.T)
+		}
 	}
 }
 

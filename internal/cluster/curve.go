@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"fmt"
 	"sort"
 
 	"jumpstart/internal/server"
@@ -86,6 +87,90 @@ func (c WarmupCurve) Stretch(factor float64) WarmupCurve {
 	return out
 }
 
+// flavour names what a booting server warms up on. The Jump-Start
+// flavours are ordered by curve precedence, lowest first: when several
+// apply to one boot, the highest with a configured curve is replayed.
+type flavour uint8
+
+const (
+	flExact      flavour = iota // package seeded on this revision and geometry
+	flLazy                      // lazy warmup mode: serve at once, page translations in
+	flRemapped                  // package carried across a push by the remapper
+	flMismatch                  // package seeded on another geometry class
+	flAggregated                // consensus package merged from several seeders
+	flFailover                  // region absorbing a failed-over region's load
+	flPooled                    // standby swapped in from the warm pool
+	flCold                      // no Jump-Start
+	numFlavours
+)
+
+// flavourCounters names the telemetry counter behind each flavour that
+// Fleet.bookFlavours books.
+var flavourCounters = [numFlavours]string{
+	flLazy:       "fleet.boots_lazy_total",
+	flRemapped:   "fleet.boots_remapped_total",
+	flMismatch:   "fleet.boots_mismatch_total",
+	flAggregated: "fleet.boots_aggregated_total",
+}
+
+// flavourSet marks the flavours that apply to one boot.
+type flavourSet [numFlavours]bool
+
+// curveTable holds the configured warmup curve per flavour; nil means
+// the flavour has no curve of its own and falls through to the next
+// one down.
+type curveTable [numFlavours]*WarmupCurve
+
+// resolveCurves builds the table from the Config.Curve* fields,
+// rejecting curves WarmupCurve.At cannot interpolate. Exact, cold and
+// pooled boots always have a curve (an empty one is instant capacity);
+// the other flavours only when theirs is configured.
+func resolveCurves(cfg *Config) (curveTable, error) {
+	var t curveTable
+	for _, e := range [...]struct {
+		fl     flavour
+		name   string
+		curve  *WarmupCurve
+		always bool
+	}{
+		{flExact, "CurveJumpStart", &cfg.CurveJumpStart, true},
+		{flCold, "CurveNoJumpStart", &cfg.CurveNoJumpStart, true},
+		{flPooled, "CurvePooled", &cfg.CurvePooled, true},
+		{flLazy, "CurveLazy", &cfg.CurveLazy, false},
+		{flRemapped, "CurveRemapped", &cfg.CurveRemapped, false},
+		{flMismatch, "CurveMismatch", &cfg.CurveMismatch, false},
+		{flAggregated, "CurveAggregated", &cfg.CurveAggregated, false},
+		{flFailover, "CurveFailover", &cfg.CurveFailover, false},
+	} {
+		c := e.curve
+		if len(c.Times) != len(c.Values) {
+			return t, fmt.Errorf("cluster: %s has %d times but %d values",
+				e.name, len(c.Times), len(c.Values))
+		}
+		for i := 1; i < len(c.Times); i++ {
+			if !(c.Times[i] >= c.Times[i-1]) {
+				return t, fmt.Errorf("cluster: %s times not ascending at index %d", e.name, i)
+			}
+		}
+		if e.always || len(c.Times) > 0 {
+			t[e.fl] = c
+		}
+	}
+	return t, nil
+}
+
+// choose returns the highest-precedence flavour in applies that has a
+// configured curve. It has no side effects: booking what the boot
+// matched is Fleet.bookFlavours' job.
+func (t *curveTable) choose(applies flavourSet) flavour {
+	for fl := flFailover; fl > flExact; fl-- {
+		if applies[fl] && t[fl] != nil {
+			return fl
+		}
+	}
+	return flExact
+}
+
 // CurveFromTicks converts a detailed-server tick series into a warmup
 // curve normalized to steadyRPS.
 func CurveFromTicks(ticks []server.TickStats, steadyRPS float64) WarmupCurve {
@@ -116,13 +201,5 @@ func LifespanFractions(c WarmupCurve, pushInterval float64) (toDecent, toPeak fl
 	if pushInterval <= 0 {
 		return 0, 0
 	}
-	toDecent = c.TimeToFraction(0.90) / pushInterval
-	toPeak = c.TimeToFraction(0.99) / pushInterval
-	if toDecent > 1 {
-		toDecent = 1
-	}
-	if toPeak > 1 {
-		toPeak = 1
-	}
-	return toDecent, toPeak
+	return min(1, c.TimeToFraction(0.90)/pushInterval), min(1, c.TimeToFraction(0.99)/pushInterval)
 }

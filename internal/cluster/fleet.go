@@ -349,50 +349,36 @@ type Fleet struct {
 	pooledBoots    int
 
 	// Counters.
-	crashes    int
-	fallbacks  int
-	lazyBoots  int
-	remapBoots int
-	pkgsKept   int // packages carried across pushes by the remapper
-	pkgsLost   int // packages dropped at a push (remap miss or exact-only wipe)
-	fbReasons  map[string]int
+	crashes   int
+	fallbacks int
+	boots     [numFlavours]int // Jump-Start boots booked per flavour (bookFlavours)
+	pkgsKept  int              // packages carried across pushes by the remapper
+	pkgsLost  int              // packages dropped at a push (remap miss or exact-only wipe)
+	fbReasons map[string]int
 
 	// Scenario accounting. regionCap is per-tick scratch; everything
 	// else is touched only from sequential code, so scenarios never
 	// perturb worker-count determinism.
 	regionCap     []float64
 	failoverBoots int     // boots started while the region was absorbing failed-over load
-	mismatchBoots int     // Jump-Start boots consuming a cross-geometry package
 	darkTicks     int     // ticks with at least one region down
 	demandPeak    float64 // max fleet demand multiplier observed
 	demandTrough  float64 // min fleet demand multiplier observed
 	prevDark      bool    // failover drill state, for transition events
 
-	// Networked store path (nil when Config.Transport is nil). Every
-	// fetch/upload runs to completion inside the sequential merge phase
-	// against a private virtual clock starting at f.now, so the tick
-	// result stays byte-identical at every worker count.
-	tcfg       *TransportConfig
-	store      *jumpstart.Store
-	tsrv       *transport.Server
-	fab        *netsim.Fabric
-	fetchSeq   uint64
-	pubSeq     uint64
-	pkgIdxByID map[jumpstart.PackageID]int
-
-	// Multi-region hierarchy state (nil unless Transport.Multi is set).
-	// All of it is touched only from the sequential merge phase.
-	multi     *multistore.Hierarchy
-	mcfg      *MultiConfig
-	lastProp  float64
-	aggBuf    map[[2]int][]pkgInfo // buffered seeder outputs awaiting consensus
-	entryIdx  map[[2]int]map[int]int
-	entryInfo map[int]pkgInfo
+	// src is the store behind the package lists, chosen once in
+	// NewFleet from Config.Transport; the counters below book what it
+	// returns and stay zero for sources without the feature.
+	src       packageSource
 	failovers int // replica legs that failed before a fetch was served
 	aggPkgs   int // consensus packages published
-	aggBoots  int // boots from consensus packages
 	propOK    int // entries propagated across regions
 	propFail  int // propagation transfers defeated by the long-haul net
+
+	// Warmup curves by boot flavour (nil = unconfigured) and the
+	// flavours every Jump-Start boot of this fleet matches.
+	curves       curveTable
+	modeFlavours flavourSet
 
 	// scratch is the reusable per-tick result buffer for the parallel
 	// server-stepping phase.
@@ -434,51 +420,24 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	if cfg.GeometryClasses < 0 {
 		return nil, fmt.Errorf("cluster: negative GeometryClasses %d", cfg.GeometryClasses)
 	}
+	if !(cfg.TickSeconds > 0) {
+		return nil, fmt.Errorf("cluster: TickSeconds %v must be positive", cfg.TickSeconds)
+	}
 	f := &Fleet{
 		cfg:       cfg,
 		packages:  make(map[[2]int][]pkgInfo),
 		rng:       cfg.Seed*2862933555777941757 + 3037000493,
 		fbReasons: make(map[string]int),
 		revision:  1,
+		poolAvail: cfg.PoolSize,
+		tel:       cfg.Telem,
 	}
-	f.poolAvail = cfg.PoolSize
-	if cfg.Transport != nil {
-		tc := *cfg.Transport
-		if tc.PackageBytes <= 0 {
-			tc.PackageBytes = 4096
-		}
-		f.tcfg = &tc
-		if tc.Multi != nil {
-			mc := *tc.Multi
-			if mc.NodesPerRegion <= 0 {
-				mc.NodesPerRegion = 1
-			}
-			if mc.Replicas <= 0 {
-				mc.Replicas = 1
-			}
-			if mc.Replicas > mc.NodesPerRegion {
-				mc.Replicas = mc.NodesPerRegion
-			}
-			if mc.PropagateEvery <= 0 {
-				mc.PropagateEvery = 60
-			}
-			f.mcfg = &mc
-			f.multi = multistore.New(multistore.Config{
-				Regions:        cfg.Regions,
-				NodesPerRegion: mc.NodesPerRegion,
-				Replicas:       mc.Replicas,
-				ChunkSize:      tc.ChunkSize,
-				Intra:          tc.Net,
-				Inter:          mc.InterNet,
-				Client:         tc.Client,
-				Seed:           workload.Fork(cfg.Seed, 0x9e610000),
-			})
-			f.multi.SetTelemetry(cfg.Telem)
-		} else {
-			f.fab = netsim.NewFabric(tc.Net)
-		}
-		f.resetStore()
+	var err error
+	if f.curves, err = resolveCurves(&f.cfg); err != nil {
+		return nil, err
 	}
+	f.modeFlavours[flLazy] = cfg.WarmupMode == jumpstart.WarmupLazy
+	f.src = newSource(f)
 	total := cfg.Regions * cfg.Buckets * cfg.ServersPerBucket
 	n1 := int(math.Ceil(cfg.C1Fraction * float64(total)))
 	n2 := int(math.Ceil(cfg.C2Fraction * float64(total)))
@@ -519,7 +478,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	}
 	f.regionCap = make([]float64, cfg.Regions)
 	f.demandTrough = math.Inf(1)
-	f.tel = cfg.Telem
 	if f.tel != nil {
 		f.shardTel = telemetry.NewShards(f.tel.Metrics,
 			parallel.ShardCount(cfg.Workers, total))
@@ -552,22 +510,6 @@ func (f *Fleet) randFloat() float64 {
 	return float64(f.rand()>>11) / (1 << 53)
 }
 
-// resetStore replaces the networked store — a new revision's packages
-// live in a fresh namespace.
-func (f *Fleet) resetStore() {
-	if f.multi != nil {
-		f.multi.Wipe()
-		f.entryIdx = make(map[[2]int]map[int]int)
-		f.entryInfo = make(map[int]pkgInfo)
-		f.aggBuf = make(map[[2]int][]pkgInfo)
-		return
-	}
-	f.store = jumpstart.NewStore()
-	f.tsrv = transport.NewServer(f.store, f.tcfg.ChunkSize)
-	f.tsrv.SetTelemetry(f.tel, func() float64 { return f.now })
-	f.pkgIdxByID = make(map[jumpstart.PackageID]int)
-}
-
 // StartDeployment begins a C1→C2→C3 push of a new revision. What
 // happens to the packages published against the previous revision is
 // the store compatibility policy: ExactOnly wipes them (consumers boot
@@ -592,70 +534,34 @@ func (f *Fleet) StartDeployment() {
 	f.phaseStart = f.now
 	f.lastPush = f.now
 	f.revision++
-	if f.cfg.RemapPolicy == jumpstart.RemapTolerant {
-		f.remapPackages()
-	} else {
-		// A new revision invalidates all existing packages.
-		for _, list := range f.packages {
-			f.pkgsLost += len(list)
-		}
-		f.packages = make(map[[2]int][]pkgInfo)
-		if f.tcfg != nil {
-			f.resetStore()
-		}
-	}
+	f.turnOverPackages()
 	f.tel.Event(f.now, "fleet", "deployment-start",
 		telemetry.I("revision", int64(f.revision)))
 }
 
-// remapPackages carries the published packages across a push: each
-// survives with probability RemapHitRate (measured on the real mutated
-// site by callers) and is marked remapped — consumers booting from it
-// warm on CurveRemapped. Buckets are walked in sorted order so the RNG
+// turnOverPackages decides the fate of the previous revision's
+// packages at a push. Under ExactOnly every one is invalidated, with no
+// draw from the fleet RNG. Under RemapTolerant each is carried across
+// by the remapper with probability RemapHitRate (measured on the real
+// mutated site by callers) and marked remapped — consumers booting from
+// it warm on CurveRemapped. Buckets are walked in sorted order so the
 // draw sequence never depends on map iteration.
-func (f *Fleet) remapPackages() {
-	keys := make([][2]int, 0, len(f.packages))
-	for k := range f.packages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	if f.tcfg != nil {
-		// The new revision gets a fresh store namespace; survivors are
-		// republished into it below, stamped with the new revision.
-		f.resetStore()
-	}
+func (f *Fleet) turnOverPackages() {
+	tolerant := f.cfg.RemapPolicy == jumpstart.RemapTolerant
+	// The new revision gets a fresh store namespace; survivors are
+	// republished into it below, stamped with the new revision.
+	f.src.reset()
 	kept, lost := 0, 0
-	for _, key := range keys {
+	for _, key := range sortedKeys(f.packages) {
 		list := f.packages[key]
 		out := list[:0]
-		for i := range list {
-			info := list[i]
-			if f.randFloat() >= f.cfg.RemapHitRate {
+		for _, info := range list {
+			if !tolerant || f.randFloat() >= f.cfg.RemapHitRate {
 				lost++
 				continue
 			}
 			info.remapped = true
-			if f.multi != nil {
-				// Carry-over is a control-plane copy, not a seeder upload:
-				// the survivor lands directly on its region's replica set.
-				info.entry = f.multi.PublishDirect(key[0], key[1], f.revision, info.payload)
-				m := f.entryIdx[key]
-				if m == nil {
-					m = make(map[int]int)
-					f.entryIdx[key] = m
-				}
-				m[info.entry.ID] = len(out)
-				f.entryInfo[info.entry.ID] = info
-			} else if f.tcfg != nil {
-				info.id = f.store.PublishRevision(key[0], key[1], info.payload, f.revision)
-				f.pkgIdxByID[info.id] = len(out)
-			}
-			out = append(out, info)
+			out = append(out, f.src.carry(key, info))
 			kept++
 		}
 		if len(out) == 0 {
@@ -666,10 +572,12 @@ func (f *Fleet) remapPackages() {
 	}
 	f.pkgsKept += kept
 	f.pkgsLost += lost
-	f.tel.Event(f.now, "fleet", "remap-packages",
-		telemetry.I("revision", int64(f.revision)),
-		telemetry.I("kept", int64(kept)),
-		telemetry.I("lost", int64(lost)))
+	if tolerant {
+		f.tel.Event(f.now, "fleet", "remap-packages",
+			telemetry.I("revision", int64(f.revision)),
+			telemetry.I("kept", int64(kept)),
+			telemetry.I("lost", int64(lost)))
+	}
 }
 
 // setDeployPhase advances the push phase and records the transition.
@@ -790,13 +698,12 @@ func (f *Fleet) Tick() FleetTick {
 
 	f.advanceDeployment()
 
-	// Cross-region propagation cadence (multi-region mode). Runs in the
-	// sequential phase, before the parallel replay, so every transfer's
-	// stream forks land at a worker-count-independent point.
-	if f.multi != nil && f.now-f.lastProp >= f.mcfg.PropagateEvery {
-		f.lastProp = f.now
-		f.propagateTick()
-	}
+	// The source's background work (cross-region propagation) runs in
+	// the sequential phase, before the parallel replay, so every
+	// transfer's stream forks land at a worker-count-independent point.
+	transferred, failed := f.src.step()
+	f.propOK += transferred
+	f.propFail += failed
 
 	if cap(f.scratch) < len(f.servers) {
 		f.scratch = make([]srvTick, len(f.servers))
@@ -836,32 +743,20 @@ func (f *Fleet) Tick() FleetTick {
 				telemetry.I("server", int64(i)),
 				telemetry.I("region", int64(s.region)),
 				telemetry.I("bucket", int64(s.bucket)))
-			if s.bootSpan != 0 {
-				// The boot never reached steady capacity: close its
-				// span at the crash with the outcome attached.
-				f.tel.EndSpan(s.bootSpan, 0, s.bootT, f.now, "boot", "boot",
-					telemetry.I("server", int64(i)),
-					telemetry.S("outcome", "crash"))
-				s.bootSpan = 0
-			}
+			// The boot never reached steady capacity.
+			f.closeBootSpan(s, "crash")
 		}
-		if r.warmed {
+		if r.warmed && s.bootSpan != 0 {
 			// The server reached steady capacity this tick: the warmup
 			// span tiles [warmup start, now] and the boot span closes
 			// over [boot start, now] — children (fetch + warmup) sum
 			// exactly to the parent duration.
-			if s.bootSpan != 0 {
-				f.tel.SpanUnder(s.bootSpan, s.stateT, f.now, "boot", "warmup",
-					telemetry.B("jumpstart", s.usedJS))
-				f.tel.EndSpan(s.bootSpan, 0, s.bootT, f.now, "boot", "boot",
-					telemetry.I("server", int64(i)),
-					telemetry.S("outcome", "warmed"),
-					telemetry.B("jumpstart", s.usedJS))
-				s.bootSpan = 0
-				if f.cfg.RecordSeries {
-					f.bootLat = append(f.bootLat, f.now-s.bootT)
-					f.tts = append(f.tts, f.now-s.stateT)
-				}
+			f.tel.SpanUnder(s.bootSpan, s.stateT, f.now, "boot", "warmup",
+				telemetry.B("jumpstart", s.usedJS))
+			f.closeBootSpan(s, "warmed")
+			if f.cfg.RecordSeries {
+				f.bootLat = append(f.bootLat, f.now-s.bootT)
+				f.tts = append(f.tts, f.now-s.stateT)
 			}
 		}
 		// Publish before boot preserves the sequential intra-tick
@@ -906,7 +801,7 @@ func (f *Fleet) Tick() FleetTick {
 		PkgsAvail:    pkgs,
 		Deployment:   f.deploying,
 		Revision:     f.revision,
-		RemapBoots:   f.remapBoots,
+		RemapBoots:   f.boots[flRemapped],
 		PoolAvail:    f.poolAvail,
 		Demand:       demand,
 		ScenCapacity: scenCap,
@@ -1000,7 +895,7 @@ func (f *Fleet) advanceDeployment() {
 			// Consumers are about to boot: flush partial consensus
 			// buffers so buckets with fewer seeders than
 			// AggregateSeeders still publish.
-			f.flushAggBuffers()
+			f.src.flush()
 			f.setDeployPhase(3)
 			f.c3Wave = 0
 			f.restartC3Wave()
@@ -1026,7 +921,7 @@ func (f *Fleet) advanceDeployment() {
 			}
 		}
 		if done {
-			f.flushAggBuffers()
+			f.src.flush()
 			f.deploying = false
 			f.phase = 0
 			f.tel.Event(f.now, "fleet", "deployment-done",
@@ -1062,10 +957,11 @@ func (f *Fleet) restartC3Wave() {
 	swapped := 0
 	for _, idx := range members[lo:hi] {
 		s := &f.servers[idx]
+		f.stopServer(s)
 		// Warm-pool tier: swap the restarting consumer for a standby
 		// when one is available; the replaced instance reboots into
 		// the pool in the background. An empty pool is a miss and the
-		// server takes the normal restart path below.
+		// server takes the normal restart path.
 		if f.cfg.PoolSize > 0 {
 			if f.poolAvail > 0 {
 				f.swapFromPool(s)
@@ -1075,13 +971,6 @@ func (f *Fleet) restartC3Wave() {
 			f.poolMisses++
 			f.tel.Counter("fleet.pool_misses_total").Inc()
 		}
-		f.closeBootSpan(s, "restarted")
-		s.state = stDown
-		s.stateT = f.now
-		s.pkg = -1
-		s.attempts = 0
-		s.crashAt = 0
-		s.fbReason = ""
 	}
 	f.tel.Event(f.now, "fleet", "c3-wave",
 		telemetry.I("wave", int64(f.c3Wave)),
@@ -1092,50 +981,30 @@ func (f *Fleet) restartC3Wave() {
 
 // poolRebootSeconds is how long a replaced instance takes to reboot
 // and re-warm into the pool: the restart gap plus a full run of the
-// curve its boot flavour replays. Constant within a run, so pending
-// ready-times are appended in ascending order.
+// curve a fresh boot of this fleet would replay. Constant within a
+// run, so pending ready-times are appended in ascending order.
 func (f *Fleet) poolRebootSeconds() float64 {
-	curve := &f.cfg.CurveNoJumpStart
+	fl := flCold
 	if f.cfg.JumpStartEnabled {
-		curve = f.jsCurveRO()
+		fl = f.curves.choose(f.modeFlavours)
 	}
-	return f.cfg.RestartDowntime + curve.TimeToFraction(1)
+	return f.cfg.RestartDowntime + f.curves[fl].TimeToFraction(1)
 }
 
-// jsCurveRO returns the Jump-Start curve a fresh boot would replay,
-// without booking any boot-flavour counters (pool reboot-time math
-// must not perturb the remap/lazy accounting).
-func (f *Fleet) jsCurveRO() *WarmupCurve {
-	if f.cfg.WarmupMode == jumpstart.WarmupLazy && len(f.cfg.CurveLazy.Times) > 0 {
-		return &f.cfg.CurveLazy
-	}
-	return &f.cfg.CurveJumpStart
-}
-
-// swapFromPool replaces a restarting consumer with a warm standby: the
-// slot comes up immediately on CurvePooled (empty curve = instant full
-// capacity) while the old instance's reboot is queued to backfill the
-// pool. Only called from the sequential wave-restart path.
+// swapFromPool brings a just-stopped consumer's slot straight back up
+// on a warm standby: it serves immediately on CurvePooled (empty curve
+// = instant full capacity) while the old instance's reboot is queued
+// to backfill the pool. Only called from the sequential wave-restart
+// path.
 func (f *Fleet) swapFromPool(s *simServer) {
-	f.closeBootSpan(s, "restarted")
 	f.poolAvail--
 	f.poolDrains++
 	f.pooledBoots++
 	f.poolPending = append(f.poolPending, f.now+f.poolRebootSeconds())
+	f.beginBoot(s)
 	s.state = stWarming
-	s.stateT = f.now
-	s.bootT = f.now
-	s.bootSpan = f.tel.BeginSpan()
-	if f.series != nil && !s.seriesMarked {
-		s.seriesFrom = len(f.series[s.idx])
-		s.seriesMarked = true
-	}
-	s.pkg = -1
-	s.attempts = 0
-	s.crashAt = 0
 	s.usedJS = true
-	s.fbReason = ""
-	s.curve = &f.cfg.CurvePooled
+	s.curve = f.curves[flPooled]
 	f.tel.Counter("fleet.boots_pooled_total").Inc()
 	f.tel.Event(f.now, "fleet", "boot-pooled",
 		telemetry.I("region", int64(s.region)),
@@ -1181,40 +1050,50 @@ func (f *Fleet) backfillPool(dt float64) {
 
 func (f *Fleet) restartGroup(group int) {
 	for i := range f.servers {
-		s := &f.servers[i]
-		if s.group != group {
-			continue
+		if s := &f.servers[i]; s.group == group {
+			f.stopServer(s)
 		}
-		f.closeBootSpan(s, "restarted")
-		s.state = stDown
-		s.stateT = f.now
-		s.pkg = -1
-		s.attempts = 0
-		s.crashAt = 0
-		s.fbReason = ""
 	}
 }
 
-// closeBootSpan closes a server's open boot span (a boot interrupted
-// before reaching steady capacity — a forced restart at a push), so no
-// child span is left referencing a parent that never lands.
+// stopServer takes a server down for a push: whatever boot was in
+// flight is cut short and its Jump-Start history starts over.
+func (f *Fleet) stopServer(s *simServer) {
+	f.closeBootSpan(s, "restarted")
+	s.state = stDown
+	s.stateT = f.now
+	s.pkg = -1
+	s.attempts = 0
+	s.crashAt = 0
+	s.fbReason = ""
+}
+
+// closeBootSpan closes a server's open boot span, if any: the boot
+// reached steady capacity ("warmed"), died on a defective package
+// ("crash"), or was cut short by a push ("restarted") — so no child
+// span is left referencing a parent that never lands.
 func (f *Fleet) closeBootSpan(s *simServer, outcome string) {
 	if s.bootSpan == 0 {
 		return
 	}
-	f.tel.EndSpan(s.bootSpan, 0, s.bootT, f.now, "boot", "boot",
-		telemetry.S("outcome", outcome))
+	attrs := []telemetry.Attr{
+		telemetry.I("server", int64(s.idx)), telemetry.S("outcome", outcome)}
+	switch outcome {
+	case "warmed":
+		attrs = append(attrs, telemetry.B("jumpstart", s.usedJS))
+	case "restarted":
+		attrs = attrs[1:] // forced restarts have never carried the server id
+	}
+	f.tel.EndSpan(s.bootSpan, 0, s.bootT, f.now, "boot", "boot", attrs...)
 	s.bootSpan = 0
 }
 
-// bootServer starts a stopped server: C2 servers come up as seeders;
-// others consume a package when Jump-Start is on and one is available,
-// with the randomized-selection + fallback protections.
-func (f *Fleet) bootServer(s *simServer) {
+// beginBoot opens a boot at the current tick: its causal root span and,
+// under RecordSeries, the warmup-series anchor. Boots only begin on the
+// sequential pass, so the span-ID draw order is independent of the
+// worker count.
+func (f *Fleet) beginBoot(s *simServer) {
 	s.stateT = f.now
-	// Open the boot's causal root span. bootServer only runs on the
-	// sequential merge pass, so the span-ID draw order is independent
-	// of the worker count.
 	s.bootT = f.now
 	s.bootSpan = f.tel.BeginSpan()
 	if f.series != nil && !s.seriesMarked {
@@ -1223,77 +1102,119 @@ func (f *Fleet) bootServer(s *simServer) {
 		s.seriesFrom = len(f.series[s.idx])
 		s.seriesMarked = true
 	}
-	if sc := f.cfg.Scenario; sc != nil && sc.Absorbing(s.region, f.now) {
+}
+
+// bootServer starts a stopped server: C2 servers come up as seeders;
+// others run the paper's consumer protocol (§VI-A3) — a randomly
+// selected package, a bounded number of attempts, then a
+// no-Jump-Start fallback. It is the only place a package boot is
+// booked, whatever store the package came from.
+func (f *Fleet) bootServer(s *simServer) {
+	f.beginBoot(s)
+	absorbed := f.cfg.Scenario != nil && f.cfg.Scenario.Absorbing(s.region, f.now)
+	if absorbed {
 		// The region is carrying a failed-over region's load: every
 		// boot here — seeder, Jump-Start, or cold — warms under the
 		// absorbed demand, and the drill's cost shows up as these.
 		f.failoverBoots++
 		f.tel.Counter("fleet.boots_failover_total").Inc()
 	}
+	// Every boot starts out cold; a fetched package upgrades it below.
+	s.usedJS = false
+	s.curve = f.curves[flCold]
 	if s.group == 2 {
 		s.state = stSeeding
-		s.curve = &f.cfg.CurveNoJumpStart
-		s.usedJS = false
 		f.tel.Event(f.now, "fleet", "boot-seeder",
 			telemetry.I("region", int64(s.region)),
 			telemetry.I("bucket", int64(s.bucket)))
 		return
 	}
-	if f.cfg.JumpStartEnabled {
-		key := [2]int{s.region, s.bucket}
-		list := f.packages[key]
-		if len(list) > 0 && s.attempts < f.cfg.MaxJSAttempts {
-			// One fleet-RNG draw per Jump-Start boot, in both the
-			// direct and the networked path — keeping the draw
-			// sequence identical is what makes a healthy transport
-			// byte-identical to the in-memory store.
-			rnd := f.rand()
-			if f.multi != nil {
-				f.bootViaMulti(s, rnd, list, key)
-				return
-			}
-			if f.tcfg != nil {
-				f.bootViaTransport(s, rnd, list)
-				return
-			}
-			// Random pick, avoiding the exact package that just
-			// crashed us when alternatives exist.
-			idx := int(rnd % uint64(len(list)))
-			if idx == s.pkg && len(list) > 1 {
-				idx = (idx + 1) % len(list)
-			}
-			// The in-memory pick costs no virtual time: an instant
-			// child marks it in the boot tree.
-			f.tel.SpanUnder(s.bootSpan, f.now, f.now, "boot", "store.pick",
-				telemetry.I("pkg", int64(idx)))
-			s.pkg = idx
-			s.attempts++
-			s.usedJS = true
-			s.fbReason = ""
-			s.state = stWarming
-			s.curve = f.jsCurveFor(s, list[idx])
-			if list[idx].defective {
-				s.crashAt = f.now + f.cfg.CrashDelay
-			}
-			f.cBoots[1].Inc()
-			f.tel.Event(f.now, "fleet", "boot-jumpstart",
+	list := f.packages[[2]int{s.region, s.bucket}]
+	switch {
+	case !f.cfg.JumpStartEnabled:
+	case len(list) == 0:
+		// Not counted as a fallback (there was nothing to fall back
+		// from), but recorded so a post-run audit can tell "never
+		// needed Jump-Start" from "wanted it, got nothing".
+		s.fbReason = "no package available"
+	case s.attempts >= f.cfg.MaxJSAttempts:
+		f.fallback(s, "max attempts exceeded")
+	default:
+		// Avoid the exact package that just crashed us when
+		// alternatives exist.
+		avoid := -1
+		if s.pkg >= 0 && s.pkg < len(list) && len(list) > 1 {
+			avoid = s.pkg
+		}
+		// Exactly one fleet-RNG draw per Jump-Start boot, whatever the
+		// source — keeping the draw sequence identical is what makes a
+		// healthy transport byte-identical to the in-memory store.
+		got := f.src.fetch(s, f.rand(), list, avoid)
+		// A failed fetch still consumes an attempt, and whichever boot
+		// follows starts once the fetch's virtual time has passed.
+		s.attempts++
+		s.stateT = f.now + got.elapsed
+		f.failovers += got.failovers
+		if got.reason != "" {
+			f.fallback(s, got.reason)
+			break
+		}
+		// A fetched package with no local record defaults to the
+		// server's own geometry (so it never books a phantom mismatch)
+		// and is not defective.
+		info := pkgInfo{geom: s.geom}
+		if got.idx >= 0 {
+			info = list[got.idx]
+		}
+		applies := f.modeFlavours
+		applies[flFailover] = absorbed
+		applies[flAggregated] = info.aggregated
+		applies[flMismatch] = f.cfg.GeometryClasses > 1 && info.geom != s.geom
+		applies[flRemapped] = info.remapped
+		chosen := f.curves.choose(applies)
+		f.bookFlavours(applies, chosen)
+		s.pkg = got.idx
+		s.usedJS = true
+		s.fbReason = ""
+		s.state = stWarming
+		s.curve = f.curves[chosen]
+		if info.defective {
+			s.crashAt = s.stateT + f.cfg.CrashDelay
+		}
+		f.cBoots[1].Inc()
+		if f.tel != nil {
+			// Built only with telemetry on: the networked sources append
+			// their attributes, which sends the slice to the heap.
+			f.tel.Event(f.now, "fleet", "boot-jumpstart", f.src.fetchAttrs([]telemetry.Attr{
 				telemetry.I("region", int64(s.region)),
 				telemetry.I("bucket", int64(s.bucket)),
-				telemetry.I("pkg", int64(idx)),
-				telemetry.I("attempt", int64(s.attempts)))
-			return
+				telemetry.I("pkg", int64(got.idx)),
+				telemetry.I("attempt", int64(s.attempts))}, got)...)
 		}
-		if len(list) > 0 && s.attempts >= f.cfg.MaxJSAttempts {
-			f.fallback(s, "max attempts exceeded")
-		} else if len(list) == 0 {
-			// Not counted as a fallback (there was nothing to fall
-			// back from), but recorded so a post-run audit can tell
-			// "never needed Jump-Start" from "wanted it, got nothing".
-			s.fbReason = "no package available"
-		}
+		return
 	}
 	// No-Jump-Start boot (disabled, no package, or fallback).
-	f.bootNoJS(s, f.now)
+	s.state = stWarming
+	s.pkg = -1
+	f.cBoots[0].Inc()
+}
+
+// bookFlavours counts one Jump-Start boot under the flavours it
+// matched. Pinned quirk (FleetTick.RemapBoots is simulated output):
+// aggregated and mismatch boots are booked whenever they apply, but a
+// remapped or lazy boot is booked only when no higher-precedence
+// flavour's configured curve won the boot — the remap/lazy counters
+// stop at the curve that was actually replayed. Failover-absorbed
+// boots are booked in bootServer, since cold and seeder boots count
+// too.
+func (f *Fleet) bookFlavours(applies flavourSet, chosen flavour) {
+	for _, fl := range [...]flavour{flMismatch, flAggregated, flRemapped, flLazy} {
+		if !applies[fl] || (fl <= flRemapped && chosen > fl) {
+			continue
+		}
+		f.boots[fl]++
+		f.tel.Counter(flavourCounters[fl]).Inc()
+	}
 }
 
 // fallback books a no-Jump-Start fallback with its reason.
@@ -1310,114 +1231,8 @@ func (f *Fleet) fallback(s *simServer, reason string) {
 		telemetry.S("reason", reason))
 }
 
-// jsCurve picks the warmup curve for a Jump-Start boot: remapped
-// packages recover less warmup than exact ones, so they warm on
-// CurveRemapped when one is configured; lazy-mode boots replay
-// CurveLazy (serving starts immediately, capacity follows page-in).
-func (f *Fleet) jsCurve(remapped bool) *WarmupCurve {
-	if remapped {
-		f.remapBoots++
-		f.tel.Counter("fleet.boots_remapped_total").Inc()
-		if len(f.cfg.CurveRemapped.Times) > 0 {
-			return &f.cfg.CurveRemapped
-		}
-	}
-	if f.cfg.WarmupMode == jumpstart.WarmupLazy {
-		f.lazyBoots++
-		f.tel.Counter("fleet.boots_lazy_total").Inc()
-		if len(f.cfg.CurveLazy.Times) > 0 {
-			return &f.cfg.CurveLazy
-		}
-	}
-	return &f.cfg.CurveJumpStart
-}
-
-// bootNoJS starts a server on the no-Jump-Start curve at startT (a
-// future startT accounts for virtual time burned fetching first).
-func (f *Fleet) bootNoJS(s *simServer, startT float64) {
-	s.usedJS = false
-	s.state = stWarming
-	s.stateT = startT
-	s.curve = &f.cfg.CurveNoJumpStart
-	s.pkg = -1
-	f.cBoots[0].Inc()
-}
-
-// bootViaTransport runs one consumer boot through the networked store:
-// the whole retrying client state machine executes here, on a private
-// virtual clock starting at f.now, and the server then warms from
-// f.now + elapsed (zero when the fabric is healthy).
-func (f *Fleet) bootViaTransport(s *simServer, rnd uint64, list []pkgInfo) {
-	// Mirror the direct path's crash-avoidance: exclude the package
-	// that just took us down, but only when an alternative exists.
-	var exclude []jumpstart.PackageID
-	if s.attempts > 0 && s.pkg >= 0 && s.pkg < len(list) && len(list) > 1 {
-		exclude = append(exclude, list[s.pkg].id)
-	}
-	s.attempts++
-	cli, clock := f.newTransportClient("consumer")
-	cli.SetSpanParent(s.bootSpan)
-	res, err := cli.Fetch(s.region, s.bucket, rnd, exclude)
-	elapsed := clock.Now() - f.now
-	f.tel.Histogram("fleet.fetch_seconds", fetchSecondsBounds).Observe(elapsed)
-	if err != nil {
-		f.fallback(s, cli.PickFailure())
-		f.bootNoJS(s, f.now+elapsed)
-		return
-	}
-	idx, ok := f.pkgIdxByID[res.ID]
-	if !ok {
-		idx = -1
-	}
-	s.pkg = idx
-	s.usedJS = true
-	s.fbReason = ""
-	s.state = stWarming
-	s.stateT = f.now + elapsed
-	// An unindexed package (fetched but no local record) defaults to
-	// the server's own geometry so it never books a phantom mismatch.
-	info := pkgInfo{geom: s.geom}
-	if idx >= 0 {
-		info = list[idx]
-	}
-	s.curve = f.jsCurveFor(s, info)
-	if idx >= 0 && list[idx].defective {
-		s.crashAt = s.stateT + f.cfg.CrashDelay
-	}
-	f.cBoots[1].Inc()
-	f.tel.Event(f.now, "fleet", "boot-jumpstart",
-		telemetry.I("region", int64(s.region)),
-		telemetry.I("bucket", int64(s.bucket)),
-		telemetry.I("pkg", int64(idx)),
-		telemetry.I("attempt", int64(s.attempts)),
-		telemetry.F("elapsed", elapsed))
-}
-
-// fetchSecondsBounds buckets per-boot fetch time (virtual seconds).
-var fetchSecondsBounds = []float64{0.01, 0.1, 1, 5, 15, 60}
-
-// newTransportClient builds a single-use store client whose fault and
-// jitter streams are forked from the fleet seed and a fetch sequence
-// number — fully deterministic, independent of worker count, and
-// decoupled from the fleet RNG.
-func (f *Fleet) newTransportClient(link string) (*transport.Client, *netsim.VirtualClock) {
-	f.fetchSeq++
-	root := workload.Fork(f.cfg.Seed, 0xf17c0000+f.fetchSeq)
-	clock := netsim.NewVirtualClock(f.now)
-	conn := transport.NewSimConn(f.tsrv, f.fab, link, clock,
-		netsim.NewStream(workload.Fork(root, 0)), f.tcfg.Client.RPCTimeout)
-	ccfg := f.tcfg.Client
-	ccfg.Seed = workload.Fork(root, 1)
-	cli := transport.NewClient(conn, clock, ccfg)
-	cli.SetTelemetry(f.tel)
-	return cli, clock
-}
-
-// publishFrom records the package a seeder collected, applying the
-// defect/validation model. With the transport wired, the package body
-// is uploaded through the retrying client; a terminal upload failure
-// (store unreachable for the whole publish budget) simply drops the
-// package — consumers degrade to no-Jump-Start boots, nothing crashes.
+// publishFrom hands the package a seeder collected to the source,
+// applying the defect/validation model.
 func (f *Fleet) publishFrom(s *simServer) {
 	defective := f.randFloat() < f.cfg.DefectRate
 	if defective && f.randFloat() < f.cfg.ValidationCatchRate {
@@ -1426,285 +1241,37 @@ func (f *Fleet) publishFrom(s *simServer) {
 		// extra soak already covered by SeederDuration.
 		defective = false
 	}
-	key := [2]int{s.region, s.bucket}
 	// A package carries its seeder's geometry class: consumers on a
 	// different class book a mismatch boot when they replay it.
-	info := pkgInfo{defective: defective, geom: s.geom}
-	if f.multi != nil {
-		info.payload = f.packagePayload()
-		f.publishMulti(key, info)
-		return
-	}
-	if f.tcfg != nil {
-		info.payload = f.packagePayload()
-		cli, _ := f.newTransportClient("seeder")
-		id, err := cli.Publish(s.region, s.bucket, f.revision, info.payload)
-		if err != nil {
-			f.tel.Counter("fleet.publish_failed_total").Inc()
-			f.tel.Event(f.now, "fleet", "publish-failed",
-				telemetry.I("region", int64(s.region)),
-				telemetry.I("bucket", int64(s.bucket)),
-				telemetry.S("err", err.Error()))
-			return
-		}
-		info.id = id
-		f.pkgIdxByID[id] = len(f.packages[key])
-	}
-	f.packages[key] = append(f.packages[key], info)
-	f.tel.Counter("fleet.published_total").Inc()
-	f.tel.Event(f.now, "fleet", "publish",
-		telemetry.I("region", int64(s.region)),
-		telemetry.I("bucket", int64(s.bucket)),
-		telemetry.B("defective", defective))
+	f.src.publish([2]int{s.region, s.bucket}, pkgInfo{defective: defective, geom: s.geom})
 }
 
-// packagePayload builds a deterministic synthetic package body. The
-// transport moves opaque bytes; the fleet model never decodes them.
-func (f *Fleet) packagePayload() []byte {
-	f.pubSeq++
-	st := netsim.NewStream(workload.Fork(f.cfg.Seed, 0x9b110000+f.pubSeq))
-	out := make([]byte, f.tcfg.PackageBytes)
-	for i := 0; i < len(out); i += 8 {
-		v := st.Uint64()
-		for j := 0; j < 8 && i+j < len(out); j++ {
-			out[i+j] = byte(v >> (8 * j))
-		}
-	}
-	return out
-}
-
-// publishMulti routes a seeder's output through the multi-region
-// hierarchy, buffering per (region, bucket) for consensus when
-// aggregation is on.
-func (f *Fleet) publishMulti(key [2]int, info pkgInfo) {
-	if n := f.mcfg.AggregateSeeders; n > 1 {
-		f.aggBuf[key] = append(f.aggBuf[key], info)
-		f.tel.Event(f.now, "fleet", "aggregate-buffer",
-			telemetry.I("region", int64(key[0])),
-			telemetry.I("bucket", int64(key[1])),
-			telemetry.I("buffered", int64(len(f.aggBuf[key]))))
-		if len(f.aggBuf[key]) < n {
-			return
-		}
-		buf := f.aggBuf[key]
-		delete(f.aggBuf, key)
-		info = f.consensusOf(buf)
-		f.tel.SpanUnder(0, f.now, f.now, "fleet", "aggregate.consume",
-			telemetry.I("region", int64(key[0])),
-			telemetry.I("bucket", int64(key[1])),
-			telemetry.I("inputs", int64(len(buf))),
-			telemetry.B("defective", info.defective))
-	}
-	f.publishMultiInfo(key, info)
-}
-
-// consensusOf folds buffered seeder outputs into one consensus
-// package: defective only when a majority of the inputs were
-// (validation by voting — one bad seeder is outvoted instead of
-// poisoning the bucket), with a fresh deterministic payload standing
-// in for the prof.Aggregate merge the real pipeline runs.
-func (f *Fleet) consensusOf(buf []pkgInfo) pkgInfo {
-	if len(buf) == 1 {
-		return buf[0]
-	}
-	bad := 0
-	for _, b := range buf {
-		if b.defective {
-			bad++
-		}
-	}
-	return pkgInfo{
-		defective:  bad*2 > len(buf),
-		aggregated: true,
-		// The merged profile inherits the first input's geometry — the
-		// aggregation pipeline runs per (region, bucket), where seeder
-		// hardware is typically uniform.
-		geom:    buf[0].geom,
-		payload: f.packagePayload(),
-	}
-}
-
-// publishMultiInfo publishes one package (individual or consensus)
-// into the hierarchy over the network and, on success, registers it in
-// the origin region's package list.
-func (f *Fleet) publishMultiInfo(key [2]int, info pkgInfo) {
-	e, err := f.multi.Publish(key[0], key[1], f.revision, info.payload, f.now)
+// register books the outcome of a source's store write for a seeder
+// output. A failed write (err != nil) simply drops the package —
+// consumers degrade to no-Jump-Start boots, nothing crashes. detail
+// carries source-specific event attributes.
+func (f *Fleet) register(key [2]int, info pkgInfo, err error, detail ...telemetry.Attr) {
+	region, bucket := telemetry.I("region", int64(key[0])), telemetry.I("bucket", int64(key[1]))
 	if err != nil {
 		f.tel.Counter("fleet.publish_failed_total").Inc()
-		f.tel.Event(f.now, "fleet", "publish-failed",
-			telemetry.I("region", int64(key[0])),
-			telemetry.I("bucket", int64(key[1])),
+		f.tel.Event(f.now, "fleet", "publish-failed", region, bucket,
 			telemetry.S("err", err.Error()))
 		return
 	}
-	info.entry = e
 	if info.aggregated {
 		f.aggPkgs++
 		f.tel.Counter("fleet.consensus_published_total").Inc()
 	}
-	f.recordEntry(key, info)
 	f.tel.Counter("fleet.published_total").Inc()
-	f.tel.Event(f.now, "fleet", "publish",
-		telemetry.I("region", int64(key[0])),
-		telemetry.I("bucket", int64(key[1])),
-		telemetry.B("defective", info.defective),
-		telemetry.B("aggregated", info.aggregated))
+	f.tel.Event(f.now, "fleet", "publish", append([]telemetry.Attr{
+		region, bucket, telemetry.B("defective", info.defective)}, detail...)...)
+	f.addPackage(key, info)
 }
 
-// recordEntry appends info to a (region, bucket) package list and
-// indexes its logical entry for boot-time resolution.
-func (f *Fleet) recordEntry(key [2]int, info pkgInfo) {
-	m := f.entryIdx[key]
-	if m == nil {
-		m = make(map[int]int)
-		f.entryIdx[key] = m
-	}
-	m[info.entry.ID] = len(f.packages[key])
+// addPackage is the one way a package enters a bucket list: a publish
+// or a cross-region arrival.
+func (f *Fleet) addPackage(key [2]int, info pkgInfo) {
 	f.packages[key] = append(f.packages[key], info)
-	f.entryInfo[info.entry.ID] = info
-}
-
-// flushAggBuffers publishes every partial consensus buffer — called
-// when the push reaches C3 (consumers are about to boot) and again
-// when it completes, so a bucket with fewer seeders than
-// AggregateSeeders still publishes. Keys are walked sorted so the
-// publish order, and thus every downstream stream fork, is
-// deterministic.
-func (f *Fleet) flushAggBuffers() {
-	if f.multi == nil || len(f.aggBuf) == 0 {
-		return
-	}
-	keys := make([][2]int, 0, len(f.aggBuf))
-	for k := range f.aggBuf {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, key := range keys {
-		buf := f.aggBuf[key]
-		delete(f.aggBuf, key)
-		info := f.consensusOf(buf)
-		f.tel.SpanUnder(0, f.now, f.now, "fleet", "aggregate.consume",
-			telemetry.I("region", int64(key[0])),
-			telemetry.I("bucket", int64(key[1])),
-			telemetry.I("inputs", int64(len(buf))),
-			telemetry.B("defective", info.defective))
-		f.publishMultiInfo(key, info)
-	}
-}
-
-// propagateTick runs one cross-region propagation round and registers
-// newly-arrived entries in their destination regions' package lists,
-// making them visible to that region's consumers.
-func (f *Fleet) propagateTick() {
-	stats := f.multi.Propagate(f.now)
-	f.propOK += stats.Transferred
-	f.propFail += stats.Failed
-	if stats.Transferred == 0 {
-		return
-	}
-	for _, e := range f.multi.Entries() {
-		info, ok := f.entryInfo[e.ID]
-		if !ok {
-			continue
-		}
-		for r := 0; r < f.cfg.Regions; r++ {
-			if !e.InRegion(r) {
-				continue
-			}
-			key := [2]int{r, e.Bucket}
-			if m := f.entryIdx[key]; m != nil {
-				if _, seen := m[e.ID]; seen {
-					continue
-				}
-			}
-			f.recordEntry(key, info)
-		}
-	}
-}
-
-// bootViaMulti runs one consumer boot through the multi-region
-// hierarchy: the fetch walks the region's replica set in deterministic
-// failover order, and a fully exhausted walk records the distinct
-// "replica failover exhausted" fallback reason.
-func (f *Fleet) bootViaMulti(s *simServer, rnd uint64, list []pkgInfo, key [2]int) {
-	// Mirror the direct path's crash-avoidance: exclude the logical
-	// entry that just took us down, but only when an alternative exists.
-	var exclude []*multistore.Entry
-	if s.attempts > 0 && s.pkg >= 0 && s.pkg < len(list) && len(list) > 1 &&
-		list[s.pkg].entry != nil {
-		exclude = append(exclude, list[s.pkg].entry)
-	}
-	s.attempts++
-	f.multi.SetSpanParent(s.bootSpan)
-	res, err := f.multi.Fetch(s.region, s.bucket, rnd, exclude, f.now)
-	f.multi.SetSpanParent(0)
-	f.failovers += res.Failovers
-	f.tel.Histogram("fleet.fetch_seconds", fetchSecondsBounds).Observe(res.Elapsed)
-	if err != nil {
-		f.fallback(s, f.multi.FetchFailure())
-		f.bootNoJS(s, f.now+res.Elapsed)
-		return
-	}
-	idx := -1
-	if m := f.entryIdx[key]; m != nil {
-		if i, ok := m[res.Entry.ID]; ok {
-			idx = i
-		}
-	}
-	s.pkg = idx
-	s.usedJS = true
-	s.fbReason = ""
-	s.state = stWarming
-	s.stateT = f.now + res.Elapsed
-	info := pkgInfo{geom: s.geom}
-	if idx >= 0 {
-		info = list[idx]
-	}
-	s.curve = f.jsCurveFor(s, info)
-	if info.defective {
-		s.crashAt = s.stateT + f.cfg.CrashDelay
-	}
-	f.cBoots[1].Inc()
-	f.tel.Event(f.now, "fleet", "boot-jumpstart",
-		telemetry.I("region", int64(s.region)),
-		telemetry.I("bucket", int64(s.bucket)),
-		telemetry.I("pkg", int64(idx)),
-		telemetry.I("attempt", int64(s.attempts)),
-		telemetry.I("failovers", int64(res.Failovers)),
-		telemetry.F("elapsed", res.Elapsed))
-}
-
-// jsCurveFor picks the warmup curve for one Jump-Start boot of server
-// s from package info, booking every flavour counter the boot matches
-// (counters record what happened even when the matching curve is
-// unconfigured). Curve precedence when several flavours apply:
-// failover-absorbed > aggregated > geometry mismatch > remap/lazy.
-func (f *Fleet) jsCurveFor(s *simServer, info pkgInfo) *WarmupCurve {
-	absorbed := f.cfg.Scenario != nil && f.cfg.Scenario.Absorbing(s.region, f.now)
-	mismatch := f.cfg.GeometryClasses > 1 && info.geom != s.geom
-	if mismatch {
-		f.mismatchBoots++
-		f.tel.Counter("fleet.boots_mismatch_total").Inc()
-	}
-	if info.aggregated {
-		f.aggBoots++
-		f.tel.Counter("fleet.boots_aggregated_total").Inc()
-	}
-	if absorbed && len(f.cfg.CurveFailover.Times) > 0 {
-		return &f.cfg.CurveFailover
-	}
-	if info.aggregated && len(f.cfg.CurveAggregated.Times) > 0 {
-		return &f.cfg.CurveAggregated
-	}
-	if mismatch && len(f.cfg.CurveMismatch.Times) > 0 {
-		return &f.cfg.CurveMismatch
-	}
-	return f.jsCurve(info.remapped)
 }
 
 // Run advances the fleet for the given duration.
@@ -1727,10 +1294,10 @@ func (f *Fleet) Crashes() int { return f.crashes }
 func (f *Fleet) Fallbacks() int { return f.fallbacks }
 
 // RemapBoots returns cumulative boots from remapped packages.
-func (f *Fleet) RemapBoots() int { return f.remapBoots }
+func (f *Fleet) RemapBoots() int { return f.boots[flRemapped] }
 
 // LazyBoots returns cumulative lazy-mode Jump-Start boots.
-func (f *Fleet) LazyBoots() int { return f.lazyBoots }
+func (f *Fleet) LazyBoots() int { return f.boots[flLazy] }
 
 // PoolStats is the warm-pool tier's occupancy and flow accounting.
 type PoolStats struct {
@@ -1774,7 +1341,7 @@ func (f *Fleet) Failovers() int { return f.failovers }
 func (f *Fleet) ConsensusPackages() int { return f.aggPkgs }
 
 // AggregatedBoots returns cumulative boots from consensus packages.
-func (f *Fleet) AggregatedBoots() int { return f.aggBoots }
+func (f *Fleet) AggregatedBoots() int { return f.boots[flAggregated] }
 
 // Propagation reports cross-region propagation outcomes: transfers
 // completed vs transfers the long-haul network defeated (those retry
@@ -1887,7 +1454,7 @@ func (f *Fleet) ScenarioStats() ScenarioStats {
 	}
 	return ScenarioStats{
 		FailoverBoots: f.failoverBoots,
-		MismatchBoots: f.mismatchBoots,
+		MismatchBoots: f.boots[flMismatch],
 		DarkTicks:     f.darkTicks,
 		PeakDemand:    f.demandPeak,
 		TroughDemand:  trough,

@@ -16,9 +16,12 @@ var printGolden = flag.Bool("print-golden", false,
 	"print the TestFleetGoldenDigests table instead of comparing against it")
 
 // goldenCases are the fleets whose output is pinned across commits: one
-// per determinism config in this package, plus a remap-tolerant push
-// over the multi-region hierarchy (the one carry-over path no
-// determinism test drives) and the three span scenarios.
+// per determinism config in this package and the three span scenarios,
+// plus the paths no determinism test drives — a remap-tolerant push
+// over the multi-region hierarchy, replica failover with a region
+// outage, crash-avoiding fetches over the transport, every boot flavour
+// at once (with and without flavour curves), and an exact-only wipe of
+// a lossy networked store under lazy warmup.
 var goldenCases = []struct {
 	name    string
 	seconds float64

@@ -223,16 +223,17 @@ func TestConsensusVoting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := f.src.(*multiSource)
 	good := pkgInfo{payload: []byte{1}}
 	bad := pkgInfo{defective: true, payload: []byte{2}}
 
-	if out := f.consensusOf([]pkgInfo{bad, good, good}); out.defective || !out.aggregated {
+	if out := src.consensusOf([]pkgInfo{bad, good, good}); out.defective || !out.aggregated {
 		t.Fatalf("outvoted defect poisoned the consensus: %+v", out)
 	}
-	if out := f.consensusOf([]pkgInfo{bad, bad, good}); !out.defective || !out.aggregated {
+	if out := src.consensusOf([]pkgInfo{bad, bad, good}); !out.defective || !out.aggregated {
 		t.Fatalf("majority defect survived the vote: %+v", out)
 	}
-	single := f.consensusOf([]pkgInfo{bad})
+	single := src.consensusOf([]pkgInfo{bad})
 	if !single.defective || single.aggregated || &single.payload[0] != &bad.payload[0] {
 		t.Fatalf("singleton flush altered the package: %+v", single)
 	}

@@ -77,10 +77,7 @@ type ChurnResult struct {
 // policies, using the measured hit rate and the measured remapped
 // warmup curve. Cached after the first call.
 func (l *Lab) Churn() (ChurnResult, error) {
-	l.churnOnce.Do(func() {
-		l.churnRes, l.churnErr = l.churn()
-	})
-	return l.churnRes, l.churnErr
+	return l.churnRes.get(struct{}{}, l.churn)
 }
 
 func (l *Lab) churn() (ChurnResult, error) {

@@ -1,9 +1,9 @@
 // Package experiments contains the per-figure drivers that regenerate
 // the paper's evaluation (Figures 1, 2, 4a, 4b, 5, 6 plus the
 // Section II-B lifespan scalars and the Section VI reliability
-// dynamics). cmd/experiments prints their output; bench_test.go wraps
-// them as benchmarks; EXPERIMENTS.md records their results against the
-// paper's numbers.
+// dynamics). cmd/experiments prints their output; the repo benchmark
+// (bench/) times each alone on a fresh Lab; EXPERIMENTS.md records
+// their results against the paper's numbers.
 package experiments
 
 import (
@@ -105,66 +105,38 @@ func Quick() Config {
 // Lab is a prepared experiment environment: one generated site plus a
 // seeded, reusable profile package. A Lab is safe for concurrent use
 // by multiple figure drivers: the expensive shared computations below
-// are deterministic and guarded by sync.Once, so whichever figure gets
-// there first computes them exactly once for everyone.
+// are deterministic and memoized, so whichever figure gets there first
+// computes them exactly once for everyone. The zero value of every
+// memo is ready, so a Lab built by literal works.
 type Lab struct {
 	Cfg      Config
 	Scenario *core.Scenario
 	Package  *prof.Profile
 
-	steadyOnce sync.Once
-	steadyRPS  float64 // cached fully-warm completion rate
-	steadyErr  error
-
-	fig2Once sync.Once
-	fig2Res  WarmupResult
-	fig2Err  error
-
-	fig4Once sync.Once
-	fig4Res  Fig4Result
-	fig4Err  error
-
-	curvesOnce sync.Once
-	curves     [2]cluster.WarmupCurve
-	curvesErr  error
-
-	churnOnce sync.Once
-	churnRes  ChurnResult
-	churnErr  error
-
-	regionsOnce sync.Once
-	regionsRes  RegionsResult
-	regionsErr  error
-
-	warmclassOnce sync.Once
-	warmclassRes  WarmclassResult
-	warmclassErr  error
-
-	poolOnce sync.Once
-	poolRes  PoolResult
-	poolErr  error
-
-	scenarioOnce sync.Once
-	scenarioRes  ScenarioResult
-	scenarioErr  error
-
-	tuneOnce sync.Once
-	tuneRes  TuneResult
-	tuneErr  error
+	// Whole-figure results and the quantities several figures share.
+	steadyRPS    memo[struct{}, float64] // fully-warm completion rate
+	fig2Res      memo[struct{}, WarmupResult]
+	fig4Res      memo[struct{}, Fig4Result]
+	curves       memo[struct{}, [2]cluster.WarmupCurve]
+	churnRes     memo[struct{}, ChurnResult]
+	regionsRes   memo[struct{}, RegionsResult]
+	warmclassRes memo[struct{}, WarmclassResult]
+	poolRes      memo[struct{}, PoolResult]
+	scenarioRes  memo[struct{}, ScenarioResult]
+	tuneRes      memo[struct{}, TuneResult]
 
 	// Baseline memo: the figures overlap heavily in the raw server runs
 	// they need (Figure 5's no-Jump-Start steady state is Figure 6's
 	// no-Jump-Start cell; Figure 2's long no-Jump-Start warmup contains
 	// Figure 4's shorter one and Figure 1's code-size curve; Figure 4's
 	// Jump-Start warmup is the fleet simulator's input curve). Each
-	// distinct underlying run is executed once, guarded by a per-cell
-	// sync.Once, and shared. Sharing is sound because every run is
-	// deterministic for its (variant, length) key; prefix reuse of
-	// warmup ticks is sound because Server.Run emits exactly
-	// int(horizon/TickSeconds) ticks from an identical boot.
-	mu         sync.Mutex
-	steadyMemo map[steadyKey]*steadyCell
-	warmMemo   map[core.Variant]*warmCell
+	// distinct underlying run is executed once and shared. Sharing is
+	// sound because every run is deterministic for its (variant,
+	// length) key; prefix reuse of warmup ticks is sound because
+	// Server.Run emits exactly int(horizon/TickSeconds) ticks from an
+	// identical boot.
+	steadyMemo memo[steadyKey, server.SteadyStats]
+	warmMemo   memo[core.Variant, []server.TickStats]
 }
 
 // steadyKey identifies one memoized steady-state measurement.
@@ -173,16 +145,33 @@ type steadyKey struct {
 	n int
 }
 
-type steadyCell struct {
+// memo is a concurrency-safe compute-once cache; the zero value is
+// ready to use. Concurrent callers of one key block on that key's cell
+// and share its result (and its error); other keys proceed.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	cells map[K]*memoCell[V]
+}
+
+type memoCell[V any] struct {
 	once sync.Once
-	st   server.SteadyStats
+	val  V
 	err  error
 }
 
-type warmCell struct {
-	once  sync.Once
-	ticks []server.TickStats
-	err   error
+func (m *memo[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	if m.cells == nil {
+		m.cells = make(map[K]*memoCell[V])
+	}
+	c := m.cells[key]
+	if c == nil {
+		c = &memoCell[V]{}
+		m.cells[key] = c
+	}
+	m.mu.Unlock()
+	c.once.Do(func() { c.val, c.err = compute() })
+	return c.val, c.err
 }
 
 // NewLab generates the site, calibrates the offered load to it (the
@@ -206,6 +195,15 @@ func NewLab(cfg Config) (*Lab, error) {
 	return &Lab{Cfg: cfg, Scenario: sc, Package: pkg}, nil
 }
 
+// pkgFor returns the package a run of variant v boots from: a private
+// clone for Jump-Start variants, none otherwise.
+func (l *Lab) pkgFor(v core.Variant) *prof.Profile {
+	if !v.JumpStart {
+		return nil
+	}
+	return l.clonePkg()
+}
+
 // clonePkg re-decodes the package so per-experiment mutations cannot
 // leak.
 func (l *Lab) clonePkg() *prof.Profile {
@@ -223,24 +221,9 @@ func (l *Lab) clonePkg() *prof.Profile {
 // the cell, so a shared run costs one decode no matter how many
 // figures read it.
 func (l *Lab) steadyState(v core.Variant, n int) (server.SteadyStats, error) {
-	l.mu.Lock()
-	if l.steadyMemo == nil {
-		l.steadyMemo = make(map[steadyKey]*steadyCell)
-	}
-	c, ok := l.steadyMemo[steadyKey{v, n}]
-	if !ok {
-		c = &steadyCell{}
-		l.steadyMemo[steadyKey{v, n}] = c
-	}
-	l.mu.Unlock()
-	c.once.Do(func() {
-		var pkg *prof.Profile
-		if v.JumpStart {
-			pkg = l.clonePkg()
-		}
-		c.st, c.err = l.Scenario.SteadyState(v, pkg, n)
+	return l.steadyMemo.get(steadyKey{v, n}, func() (server.SteadyStats, error) {
+		return l.Scenario.SteadyState(v, l.pkgFor(v), n)
 	})
-	return c.st, c.err
 }
 
 // warmHorizon is the horizon each variant's shared warmup run covers:
@@ -262,37 +245,16 @@ func (l *Lab) warmHorizon(v core.Variant) float64 {
 func (l *Lab) warmupTicks(v core.Variant, horizon float64) ([]server.TickStats, error) {
 	shared := l.warmHorizon(v)
 	if horizon > shared {
-		var pkg *prof.Profile
-		if v.JumpStart {
-			pkg = l.clonePkg()
-		}
-		return l.Scenario.WarmupRun(v, pkg, horizon)
+		return l.Scenario.WarmupRun(v, l.pkgFor(v), horizon)
 	}
-	l.mu.Lock()
-	if l.warmMemo == nil {
-		l.warmMemo = make(map[core.Variant]*warmCell)
-	}
-	c, ok := l.warmMemo[v]
-	if !ok {
-		c = &warmCell{}
-		l.warmMemo[v] = c
-	}
-	l.mu.Unlock()
-	c.once.Do(func() {
-		var pkg *prof.Profile
-		if v.JumpStart {
-			pkg = l.clonePkg()
-		}
-		c.ticks, c.err = l.Scenario.WarmupRun(v, pkg, shared)
+	ticks, err := l.warmMemo.get(v, func() ([]server.TickStats, error) {
+		return l.Scenario.WarmupRun(v, l.pkgFor(v), shared)
 	})
-	if c.err != nil {
-		return nil, c.err
+	if err != nil {
+		return nil, err
 	}
-	n := int(horizon / l.Cfg.ServerCfg.TickSeconds)
-	if n > len(c.ticks) {
-		n = len(c.ticks)
-	}
-	return c.ticks[:n:n], nil
+	n := min(int(horizon/l.Cfg.ServerCfg.TickSeconds), len(ticks))
+	return ticks[:n:n], nil
 }
 
 // ---------------------------------------------------------------------
@@ -366,19 +328,13 @@ type WarmupResult struct {
 // Figures 2 and 4b. It is min(offered, warm capacity), measured once
 // from a warmed no-Jump-Start server and cached.
 func (l *Lab) SteadyRPS() (float64, error) {
-	l.steadyOnce.Do(func() {
+	return l.steadyRPS.get(struct{}{}, func() (float64, error) {
 		st, err := l.steadyState(core.Variant{}, l.Cfg.SteadyRequests/2)
 		if err != nil {
-			l.steadyErr = err
-			return
+			return 0, err
 		}
-		steady := st.CapacityRPS
-		if offered := l.Cfg.ServerCfg.OfferedRPS; steady > offered {
-			steady = offered
-		}
-		l.steadyRPS = steady
+		return min(st.CapacityRPS, l.Cfg.ServerCfg.OfferedRPS), nil
 	})
-	return l.steadyRPS, l.steadyErr
 }
 
 // warmup runs a server variant over the horizon, normalizing by the
@@ -404,10 +360,9 @@ func (l *Lab) warmup(v core.Variant, horizon float64) (WarmupResult, error) {
 // horizon). The result is cached: the underlying run is expensive and
 // deterministic.
 func (l *Lab) Fig2() (WarmupResult, error) {
-	l.fig2Once.Do(func() {
-		l.fig2Res, l.fig2Err = l.warmup(core.Variant{}, l.Cfg.LongHorizon)
+	return l.fig2Res.get(struct{}{}, func() (WarmupResult, error) {
+		return l.warmup(core.Variant{}, l.Cfg.LongHorizon)
 	})
-	return l.fig2Res, l.fig2Err
 }
 
 // Fig4Result compares warmup with and without Jump-Start over the
@@ -427,10 +382,7 @@ type Fig4Result struct {
 
 // Fig4 reproduces Figures 4a and 4b (cached after the first call).
 func (l *Lab) Fig4() (Fig4Result, error) {
-	l.fig4Once.Do(func() {
-		l.fig4Res, l.fig4Err = l.fig4()
-	})
-	return l.fig4Res, l.fig4Err
+	return l.fig4Res.get(struct{}{}, l.fig4)
 }
 
 func (l *Lab) fig4() (Fig4Result, error) {
@@ -767,10 +719,7 @@ func (l *Lab) FleetCurves() (js, no cluster.WarmupCurve, err error) {
 // replays. Cached: Reliability and FleetDeploy share them, and both
 // may run concurrently under RunFigures.
 func (l *Lab) fleetCurves() ([2]cluster.WarmupCurve, error) {
-	l.curvesOnce.Do(func() {
-		l.curves, l.curvesErr = l.measureFleetCurves()
-	})
-	return l.curves, l.curvesErr
+	return l.curves.get(struct{}{}, l.measureFleetCurves)
 }
 
 func (l *Lab) measureFleetCurves() ([2]cluster.WarmupCurve, error) {

@@ -21,6 +21,12 @@ func quickLab(t testing.TB) *Lab {
 			// window to converge; tiny's determinism horizon is too
 			// short. Fleet ticks replay curves, so this stays cheap.
 			cfg.Horizon = Quick().Horizon
+			// The tiny site's Jump-Start curve ramps from 0 to 1 inside
+			// one 2 s sample; on the default 5 s fleet tick it replays as
+			// a step, so a stretched or lazy curve is indistinguishable
+			// from it (TestScenarioFigShape, TestTuneShape). Tick the
+			// fleet on the curve's own sample grid instead.
+			cfg.FleetCfg.TickSeconds = 2
 		}
 		lab, labErr = NewLab(cfg)
 	})

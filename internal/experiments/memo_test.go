@@ -52,9 +52,7 @@ func TestBaselineMemoSharing(t *testing.T) {
 	if _, err := l.fleetCurves(); err != nil {
 		t.Fatal(err)
 	}
-	l.mu.Lock()
-	warms, steadies := len(l.warmMemo), len(l.steadyMemo)
-	l.mu.Unlock()
+	warms, steadies := len(l.warmMemo.cells), len(l.steadyMemo.cells)
 	// Figure 1, Figure 2, Figure 4's no-Jump-Start half and the fleet's
 	// no-Jump-Start curve all read the one long Variant{} run; Figure
 	// 4's Jump-Start half and the fleet's Jump-Start curve read the one

@@ -158,10 +158,7 @@ var poolCrossRegimes = []struct {
 
 // Pool runs the warm-pool + lazy-paging figure (cached).
 func (l *Lab) Pool() (PoolResult, error) {
-	l.poolOnce.Do(func() {
-		l.poolRes, l.poolErr = l.pool()
-	})
-	return l.poolRes, l.poolErr
+	return l.poolRes.get(struct{}{}, l.pool)
 }
 
 func (l *Lab) pool() (PoolResult, error) {

@@ -61,10 +61,7 @@ type RegionsResult struct {
 // Regions measures what multi-region sharded stores with seeder
 // aggregation buy. Cached after the first call.
 func (l *Lab) Regions() (RegionsResult, error) {
-	l.regionsOnce.Do(func() {
-		l.regionsRes, l.regionsErr = l.regions()
-	})
-	return l.regionsRes, l.regionsErr
+	return l.regionsRes.get(struct{}{}, l.regions)
 }
 
 func (l *Lab) regions() (RegionsResult, error) {

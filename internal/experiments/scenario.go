@@ -197,10 +197,7 @@ func (l *Lab) measureGeometry(curves [2]cluster.WarmupCurve) (GeometryResult, er
 
 // ScenarioFig runs the dynamic-traffic figure (cached).
 func (l *Lab) ScenarioFig() (ScenarioResult, error) {
-	l.scenarioOnce.Do(func() {
-		l.scenarioRes, l.scenarioErr = l.scenarioFig()
-	})
-	return l.scenarioRes, l.scenarioErr
+	return l.scenarioRes.get(struct{}{}, l.scenarioFig)
 }
 
 func (l *Lab) scenarioFig() (ScenarioResult, error) {

@@ -142,10 +142,7 @@ func (l *Lab) tuneEvaluate(k autotune.Knobs, kind scenario.Kind, budget float64,
 // halving search over the knob grid under the diurnal scenario, then a
 // full-fidelity default-vs-winner verification on every scenario kind.
 func (l *Lab) Tune() (TuneResult, error) {
-	l.tuneOnce.Do(func() {
-		l.tuneRes, l.tuneErr = l.tune()
-	})
-	return l.tuneRes, l.tuneErr
+	return l.tuneRes.get(struct{}{}, l.tune)
 }
 
 func (l *Lab) tune() (TuneResult, error) {

@@ -71,10 +71,7 @@ func (l *Lab) WarmclassSLO() obs.SLO {
 // post-boot curve with PELT changepoint detection, and rolls the
 // results into a fleet SLO report (cached after the first call).
 func (l *Lab) Warmclass() (WarmclassResult, error) {
-	l.warmclassOnce.Do(func() {
-		l.warmclassRes, l.warmclassErr = l.warmclass()
-	})
-	return l.warmclassRes, l.warmclassErr
+	return l.warmclassRes.get(struct{}{}, l.warmclass)
 }
 
 func (l *Lab) warmclass() (WarmclassResult, error) {

@@ -24,15 +24,6 @@ type pickFailureReporter interface {
 	PickFailure() string
 }
 
-// budgetResetter is optionally implemented by a PackageSource with
-// resettable fetch-budget state. Historically the transport client
-// armed its deadline per boot and required this call between boots;
-// the client now re-arms per fetch and its ResetBudget is a no-op, but
-// BootConsumer keeps the hook for third-party sources.
-type budgetResetter interface {
-	ResetBudget()
-}
-
 // spanParented is optionally implemented by a PackageSource that
 // records its own causal spans (the transport client, the multi-store
 // hierarchy). BootConsumer hands it the current pick span's ID so the
@@ -127,9 +118,6 @@ func BootConsumer(site *workload.Site, source PackageSource, cfg BootConfig) (*s
 		}
 	}
 
-	if br, ok := source.(budgetResetter); ok {
-		br.ResetBudget()
-	}
 	// The boot is the root of this consumer's causal span tree; every
 	// pick, validation and remap lands as a child, and a span-recording
 	// source nests its own fetch spans under the pick span.

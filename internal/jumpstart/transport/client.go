@@ -179,13 +179,6 @@ func (c *Client) Pick(region, bucket int, rnd uint64, exclude ...jumpstart.Packa
 	}, true
 }
 
-// ResetBudget is a compatibility no-op. The budget used to be armed
-// once per boot, which made a reused Client inherit a stale — possibly
-// already exhausted — deadline on any fetch issued after the boot
-// (lazy page-ins hit this instantly). Fetch now arms a fresh window
-// per call, so there is no cross-call state left to reset.
-func (c *Client) ResetBudget() {}
-
 // backoff computes the capped exponential backoff for attempt n >= 1
 // with deterministic jitter in [0.5, 1).
 func (c *Client) backoff(attempt int, jit *netsim.Stream) float64 {

@@ -279,7 +279,7 @@ func TestBudgetExhaustionFallsBack(t *testing.T) {
 // after a budget-exhausting boot — a lazy page-in, a reused client's
 // next boot — inherited the expired deadline and failed instantly with
 // ErrBudget. A second fetch after a slow first one must get its own
-// fresh window, with no ResetBudget call in between.
+// fresh window, with nothing to reset in between.
 func TestBudgetRearmsPerFetch(t *testing.T) {
 	net := netsim.Config{
 		BaseLatency: 0.01,
