@@ -2,8 +2,22 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"testing"
 )
+
+var printGolden = flag.Bool("print-golden", false,
+	"print the figure-text digest instead of comparing against goldenFigureDigest")
+
+// goldenFigureDigest pins the text of every figure (FigureOrder, at
+// tinyConfig, one worker) across commits: the determinism test below
+// proves the output does not depend on scheduling, this proves a
+// refactor did not change it. Regenerate only on an intended output
+// change: go test ./internal/experiments -run
+// TestRunFiguresParallelDeterminism -print-golden -v
+const goldenFigureDigest = "2a6a8ec55eebdd1ebdd4b3b201c15ab603299e0314fe5813b6b5c4631eb9b19d"
 
 // tinyConfig is a below-Quick scale: the determinism tests build one
 // fresh Lab per worker count (caches must not mask scheduling effects),
@@ -47,6 +61,12 @@ func TestRunFiguresParallelDeterminism(t *testing.T) {
 	base := render(1)
 	if len(base) == 0 {
 		t.Fatal("sequential run produced no output")
+	}
+	digest := fmt.Sprintf("%x", sha256.Sum256(base))
+	if *printGolden {
+		t.Logf("const goldenFigureDigest = %q", digest)
+	} else if digest != goldenFigureDigest {
+		t.Errorf("figure text changed: digest %s, want %s (see goldenFigureDigest)", digest, goldenFigureDigest)
 	}
 	for _, w := range []int{4, 0} { // 0 = one worker per CPU
 		got := render(w)
