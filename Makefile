@@ -15,7 +15,7 @@ OBS_COVER_FLOOR ?= 80
 SCENARIO_COVER_FLOOR ?= 80
 AUTOTUNE_COVER_FLOOR ?= 80
 
-.PHONY: build test bench alloccheck verify cover faultsweep churnsweep regionsweep obssweep poolsweep scenariosweep
+.PHONY: build test bench alloccheck verify fuzz cover faultsweep churnsweep regionsweep obssweep poolsweep scenariosweep
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,12 @@ alloccheck:
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# Native fuzzing, CI budget: each target runs for 10 s on top of its
+# committed seed corpus (testdata/fuzz/<target>/). go test accepts one
+# -fuzz target per package per run, so add one line per target.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFetchHostileConn$$' -fuzztime 10s ./internal/jumpstart/transport/
 
 # The *sweep targets below are developer shortcuts, not CI steps: each
 # re-runs, verbosely and under -race, a subset of what `verify` just

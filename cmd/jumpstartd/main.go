@@ -415,7 +415,7 @@ func runStoreServer(addr string, seconds float64, preload string,
 	if tel != nil {
 		wall := transport.NewWallClock()
 		store.SetTelemetry(tel, wall.Now)
-		srv.SetTelemetry(tel, wall.Now)
+		srv.SetTelemetry(tel)
 	}
 	if preload != "" {
 		data, err := os.ReadFile(preload)

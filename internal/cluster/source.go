@@ -159,7 +159,7 @@ func newTransportSource(f *Fleet, cfg TransportConfig) *transportSource {
 func (t *transportSource) reset() {
 	t.store = jumpstart.NewStore()
 	t.srv = transport.NewServer(t.store, t.cfg.ChunkSize)
-	t.srv.SetTelemetry(t.f.tel, func() float64 { return t.f.now })
+	t.srv.SetTelemetry(t.f.tel)
 }
 
 // client builds a single-use store client whose fault and jitter

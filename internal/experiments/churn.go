@@ -187,22 +187,14 @@ func (l *Lab) churnRate(rate, steady float64) (ChurnRate, error) {
 // boot from remapped packages instead.
 func (l *Lab) churnFleets(cr ChurnRate, cadence float64, curves [2]cluster.WarmupCurve) (ChurnPoint, error) {
 	run := func(policy jumpstart.CompatPolicy) (*cluster.Fleet, []cluster.FleetTick, error) {
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.CurveRemapped = cr.Curve
-		cfg.C1Hold = 30
-		cfg.C2Hold = 60
-		cfg.PushEvery = cadence
-		cfg.RemapPolicy = policy
-		cfg.RemapHitRate = cr.Remap1.HitRate()
-		f, err := cluster.NewFleet(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		f.StartDeployment()
-		return f, f.Run(8 * l.Cfg.Horizon), nil
+		return l.deploy(curves, 8*l.Cfg.Horizon, func(cfg *cluster.Config) {
+			cfg.CurveRemapped = cr.Curve
+			cfg.C1Hold = 30
+			cfg.C2Hold = 60
+			cfg.PushEvery = cadence
+			cfg.RemapPolicy = policy
+			cfg.RemapHitRate = cr.Remap1.HitRate()
+		})
 	}
 	fe, te, err := run(jumpstart.ExactOnly)
 	if err != nil {

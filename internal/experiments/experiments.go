@@ -18,6 +18,7 @@ import (
 	"jumpstart/internal/parallel"
 	"jumpstart/internal/prof"
 	"jumpstart/internal/server"
+	"jumpstart/internal/telemetry"
 	"jumpstart/internal/workload"
 )
 
@@ -568,20 +569,11 @@ func (l *Lab) Reliability() (ReliabilityResult, error) {
 		return ReliabilityResult{}, err
 	}
 	run := func(defectRate float64) (*cluster.Fleet, []cluster.FleetTick, error) {
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.DefectRate = defectRate
-		cfg.ValidationCatchRate = 0.8
-		cfg.CrashDelay = 30
-		f, err := cluster.NewFleet(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		f.StartDeployment()
-		ticks := f.Run(6 * l.Cfg.Horizon)
-		return f, ticks, nil
+		return l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
+			cfg.DefectRate = defectRate
+			cfg.ValidationCatchRate = 0.8
+			cfg.CrashDelay = 30
+		})
 	}
 	_, clean, err := run(0)
 	if err != nil {
@@ -622,17 +614,7 @@ func (l *Lab) Brownout() (BrownoutResult, error) {
 		return BrownoutResult{}, err
 	}
 	run := func(tc *cluster.TransportConfig) (*cluster.Fleet, []cluster.FleetTick, error) {
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.Transport = tc
-		f, err := cluster.NewFleet(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		f.StartDeployment()
-		return f, f.Run(6 * l.Cfg.Horizon), nil
+		return l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) { cfg.Transport = tc })
 	}
 	healthyCfg := func() *cluster.TransportConfig {
 		cc := transport.DefaultClientConfig()
@@ -684,18 +666,8 @@ func (l *Lab) FleetDeploy() (lossJS, lossNoJS float64, err error) {
 		return 0, 0, err
 	}
 	run := func(js bool) (float64, error) {
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.JumpStartEnabled = js
-		f, err := cluster.NewFleet(cfg)
-		if err != nil {
-			return 0, err
-		}
-		f.StartDeployment()
-		ticks := f.Run(6 * l.Cfg.Horizon)
-		return cluster.CapacityLoss(ticks, cfg.TickSeconds), nil
+		_, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) { cfg.JumpStartEnabled = js })
+		return cluster.CapacityLoss(ticks, l.Cfg.FleetCfg.TickSeconds), err
 	}
 	lossJS, err = run(true)
 	if err != nil {
@@ -703,6 +675,36 @@ func (l *Lab) FleetDeploy() (lossJS, lossNoJS float64, err error) {
 	}
 	lossNoJS, err = run(false)
 	return lossJS, lossNoJS, err
+}
+
+// deploy runs one C1/C2/C3 push for seconds over a fleet built from the
+// lab's fleet config, worker count and the two measured base curves;
+// configure sets whatever the experiment varies on top.
+func (l *Lab) deploy(curves [2]cluster.WarmupCurve, seconds float64,
+	configure func(*cluster.Config)) (*cluster.Fleet, []cluster.FleetTick, error) {
+	cfg := l.Cfg.FleetCfg
+	cfg.Workers = l.Cfg.Workers
+	cfg.CurveJumpStart = curves[0]
+	cfg.CurveNoJumpStart = curves[1]
+	configure(&cfg)
+	f, err := cluster.NewFleet(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	f.StartDeployment()
+	return f, f.Run(seconds), nil
+}
+
+// privateTelemetry returns a single-writer observation set for one
+// fleet run, so runs fanned out across workers cannot race, with a
+// trace ring roomy enough that a full deployment's boot spans survive
+// to validation without eviction.
+func privateTelemetry() *telemetry.Set {
+	return &telemetry.Set{
+		Metrics: telemetry.NewRegistry(),
+		Trace:   telemetry.NewTrace(1 << 17),
+		Cycles:  telemetry.NewCycleProfile(),
+	}
 }
 
 // FleetCurves measures the two single-server warmup curves (with and

@@ -11,7 +11,6 @@ import (
 	"jumpstart/internal/obs"
 	"jumpstart/internal/parallel"
 	"jumpstart/internal/server"
-	"jumpstart/internal/telemetry"
 	"jumpstart/internal/workload"
 )
 
@@ -167,26 +166,22 @@ func (l *Lab) pool() (PoolResult, error) {
 		return PoolResult{}, err
 	}
 	res := PoolResult{}
+	dt := l.Cfg.FleetCfg.TickSeconds
 
 	// Part 1 — the pool sweep. Independent deterministic fleet runs;
 	// fan out and merge in grid order.
 	cells, err := parallel.MapErr(l.Cfg.Workers, len(poolGrid), func(i int) (PoolCell, error) {
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.PoolSize = poolGrid[i].Size
-		cfg.PoolBackfillRate = poolGrid[i].Rate
-		f, err := cluster.NewFleet(cfg)
+		f, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
+			cfg.PoolSize = poolGrid[i].Size
+			cfg.PoolBackfillRate = poolGrid[i].Rate
+		})
 		if err != nil {
 			return PoolCell{}, err
 		}
-		f.StartDeployment()
-		ticks := f.Run(6 * l.Cfg.Horizon)
 		return PoolCell{
 			Size:  poolGrid[i].Size,
 			Rate:  poolGrid[i].Rate,
-			Loss:  cluster.CapacityLoss(ticks, cfg.TickSeconds),
+			Loss:  cluster.CapacityLoss(ticks, dt),
 			Stats: f.PoolStats(),
 		}, nil
 	})
@@ -221,47 +216,38 @@ func (l *Lab) pool() (PoolResult, error) {
 	}
 	crossRuns, err := parallel.MapErr(l.Cfg.Workers, len(poolCrossRegimes), func(i int) (crossRun, error) {
 		rg := poolCrossRegimes[i]
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.RecordSeries = true
-		cfg.Telem = &telemetry.Set{
-			Metrics: telemetry.NewRegistry(),
-			Trace:   telemetry.NewTrace(1 << 17),
-			Cycles:  telemetry.NewCycleProfile(),
-		}
-		if rg.lazy {
-			cfg.WarmupMode = jumpstart.WarmupLazy
+		f, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
+			cfg.RecordSeries = true
+			cfg.Telem = privateTelemetry()
+			if rg.lazy {
+				cfg.WarmupMode = jumpstart.WarmupLazy
+				if rg.brownout {
+					cfg.CurveLazy = lazyRuns[1].Curve
+				} else {
+					cfg.CurveLazy = lazyRuns[0].Curve
+				}
+			}
+			cc := transport.DefaultClientConfig()
+			cc.Budget = 10
+			tc := &cluster.TransportConfig{Client: cc}
 			if rg.brownout {
-				cfg.CurveLazy = lazyRuns[1].Curve
-			} else {
-				cfg.CurveLazy = lazyRuns[0].Curve
+				tc.Net = netsim.Config{
+					BaseLatency: 0.02,
+					Faults:      []netsim.Fault{netsim.Brownout(c3, c3+6*l.Cfg.Horizon, 0.97, 0.5)},
+				}
 			}
-		}
-		cc := transport.DefaultClientConfig()
-		cc.Budget = 10
-		tc := &cluster.TransportConfig{Client: cc}
-		if rg.brownout {
-			tc.Net = netsim.Config{
-				BaseLatency: 0.02,
-				Faults:      []netsim.Fault{netsim.Brownout(c3, c3+6*l.Cfg.Horizon, 0.97, 0.5)},
-			}
-		}
-		cfg.Transport = tc
-		f, err := cluster.NewFleet(cfg)
+			cfg.Transport = tc
+		})
 		if err != nil {
 			return crossRun{}, err
 		}
-		f.StartDeployment()
-		ticks := f.Run(6 * l.Cfg.Horizon)
 		run := crossRun{
-			loss:    cluster.CapacityLoss(ticks, cfg.TickSeconds),
+			loss:    cluster.CapacityLoss(ticks, dt),
 			bootLat: f.BootLatencies(),
 			reasons: f.FallbackReasons(),
 		}
 		for _, xs := range f.WarmupSeries() {
-			run.classes = append(run.classes, obs.Classify(xs, cfg.TickSeconds))
+			run.classes = append(run.classes, obs.Classify(xs, dt))
 		}
 		return run, nil
 	})

@@ -204,37 +204,32 @@ func (l *Lab) seedPackageWithSeed(seed uint64) (*prof.Profile, error) {
 // between publish and the C3 fetch storm.
 func (l *Lab) regionsFleet(name string, aggregate bool, intra, inter []netsim.Fault,
 	curveAgg cluster.WarmupCurve, curves [2]cluster.WarmupCurve) (RegionsPoint, error) {
-	cfg := l.Cfg.FleetCfg
-	cfg.Workers = l.Cfg.Workers
-	cfg.CurveJumpStart = curves[0]
-	cfg.CurveNoJumpStart = curves[1]
-	cfg.CurveAggregated = curveAgg
-	cfg.C1Hold = 30
-	cfg.C2Hold = 90
-	cfg.SeederDuration = 60
 	aggN := 0
 	if aggregate {
 		aggN = 2
 	}
-	cfg.Transport = &cluster.TransportConfig{
-		Net:          netsim.Config{BaseLatency: 0.02, Faults: intra},
-		Client:       transport.ClientConfig{RPCTimeout: 1, Budget: 12, BackoffBase: 0.1, BackoffCap: 5},
-		PackageBytes: 2048,
-		ChunkSize:    512,
-		Multi: &cluster.MultiConfig{
-			NodesPerRegion:   3,
-			Replicas:         2,
-			PropagateEvery:   60,
-			InterNet:         netsim.Config{BaseLatency: 0.3, Faults: inter},
-			AggregateSeeders: aggN,
-		},
-	}
-	f, err := cluster.NewFleet(cfg)
+	f, ticks, err := l.deploy(curves, 8*l.Cfg.Horizon, func(cfg *cluster.Config) {
+		cfg.CurveAggregated = curveAgg
+		cfg.C1Hold = 30
+		cfg.C2Hold = 90
+		cfg.SeederDuration = 60
+		cfg.Transport = &cluster.TransportConfig{
+			Net:          netsim.Config{BaseLatency: 0.02, Faults: intra},
+			Client:       transport.ClientConfig{RPCTimeout: 1, Budget: 12, BackoffBase: 0.1, BackoffCap: 5},
+			PackageBytes: 2048,
+			ChunkSize:    512,
+			Multi: &cluster.MultiConfig{
+				NodesPerRegion:   3,
+				Replicas:         2,
+				PropagateEvery:   60,
+				InterNet:         netsim.Config{BaseLatency: 0.3, Faults: inter},
+				AggregateSeeders: aggN,
+			},
+		}
+	})
 	if err != nil {
 		return RegionsPoint{}, err
 	}
-	f.StartDeployment()
-	ticks := f.Run(8 * l.Cfg.Horizon)
 	propOK, propFail := f.Propagation()
 	exhausted := 0
 	for _, rc := range f.FallbackReasons() {
@@ -245,7 +240,7 @@ func (l *Lab) regionsFleet(name string, aggregate bool, intra, inter []netsim.Fa
 	return RegionsPoint{
 		Name:      name,
 		Aggregate: aggregate,
-		Loss:      cluster.CapacityLoss(ticks, cfg.TickSeconds),
+		Loss:      cluster.CapacityLoss(ticks, l.Cfg.FleetCfg.TickSeconds),
 		Crashes:   f.Crashes(),
 		Fallbacks: f.Fallbacks(),
 		Failovers: f.Failovers(),

@@ -9,7 +9,6 @@ import (
 	"jumpstart/internal/obs"
 	"jumpstart/internal/parallel"
 	"jumpstart/internal/scenario"
-	"jumpstart/internal/telemetry"
 )
 
 // scenarioKinds are the dynamic-traffic regimes the figure sweeps.
@@ -168,25 +167,20 @@ func (l *Lab) measureGeometry(curves [2]cluster.WarmupCurve) (GeometryResult, er
 	// two-class fleet where cross-geometry boots replay the measured
 	// mismatch curve.
 	losses, err := parallel.MapErr(l.Cfg.Workers, 2, func(i int) (float64, error) {
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		if i == 1 {
-			cfg.GeometryClasses = 2
-			cfg.CurveMismatch = res.MismatchCurve
-		}
-		f, err := cluster.NewFleet(cfg)
+		f, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
+			if i == 1 {
+				cfg.GeometryClasses = 2
+				cfg.CurveMismatch = res.MismatchCurve
+			}
+		})
 		if err != nil {
 			return 0, err
 		}
-		f.StartDeployment()
-		ticks := f.Run(6 * l.Cfg.Horizon)
 		if i == 1 {
 			res.MixedStats = f.ScenarioStats()
 			res.Census = f.GeometryCensus()
 		}
-		return cluster.CapacityLoss(ticks, cfg.TickSeconds), nil
+		return cluster.CapacityLoss(ticks, l.Cfg.FleetCfg.TickSeconds), nil
 	})
 	if err != nil {
 		return res, err
@@ -215,47 +209,39 @@ func (l *Lab) scenarioFig() (ScenarioResult, error) {
 		reasons []cluster.ReasonCount
 	}
 	horizon := 6 * l.Cfg.Horizon
+	dt := l.Cfg.FleetCfg.TickSeconds
 	runs, err := parallel.MapErr(l.Cfg.Workers, 2*len(scenarioKinds), func(i int) (gridRun, error) {
 		kind := scenarioKinds[i/2]
 		js := i%2 == 0
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.JumpStartEnabled = js
-		// Absorbed boots warm under the failed-over region's load on
-		// top of their own: every milestone lands ~1.5× later.
-		cfg.CurveFailover = curves[0].Stretch(failoverStretch)
-		cfg.RecordSeries = true
-		cfg.Telem = &telemetry.Set{
-			Metrics: telemetry.NewRegistry(),
-			Trace:   telemetry.NewTrace(1 << 17),
-			Cycles:  telemetry.NewCycleProfile(),
-		}
-		eng, err := scenario.New(scenario.DefaultConfig(kind, cfg.Regions, horizon))
+		eng, err := scenario.New(scenario.DefaultConfig(kind, l.Cfg.FleetCfg.Regions, horizon))
 		if err != nil {
 			return gridRun{}, err
 		}
-		cfg.Scenario = eng
-		f, err := cluster.NewFleet(cfg)
+		f, ticks, err := l.deploy(curves, horizon, func(cfg *cluster.Config) {
+			cfg.JumpStartEnabled = js
+			// Absorbed boots warm under the failed-over region's load on
+			// top of their own: every milestone lands ~1.5× later.
+			cfg.CurveFailover = curves[0].Stretch(failoverStretch)
+			cfg.RecordSeries = true
+			cfg.Telem = privateTelemetry()
+			cfg.Scenario = eng
+		})
 		if err != nil {
 			return gridRun{}, err
 		}
-		f.StartDeployment()
-		ticks := f.Run(horizon)
 		run := gridRun{
 			cell: ScenarioCell{
 				Kind:      kind.String(),
 				JumpStart: js,
-				Loss:      cluster.CapacityLoss(ticks, cfg.TickSeconds),
-				ScenLoss:  cluster.ScenarioCapacityLoss(ticks, cfg.TickSeconds),
+				Loss:      cluster.CapacityLoss(ticks, dt),
+				ScenLoss:  cluster.ScenarioCapacityLoss(ticks, dt),
 				Stats:     f.ScenarioStats(),
 			},
 			bootLat: f.BootLatencies(),
 			reasons: f.FallbackReasons(),
 		}
 		for _, xs := range f.WarmupSeries() {
-			run.classes = append(run.classes, obs.Classify(xs, cfg.TickSeconds))
+			run.classes = append(run.classes, obs.Classify(xs, dt))
 		}
 		return run, nil
 	})

@@ -11,7 +11,6 @@ import (
 	"jumpstart/internal/obs"
 	"jumpstart/internal/parallel"
 	"jumpstart/internal/scenario"
-	"jumpstart/internal/telemetry"
 )
 
 // tuneRemapHitRate stands in for a measured remap survival rate under
@@ -83,55 +82,46 @@ func (l *Lab) tuneEvaluate(k autotune.Knobs, kind scenario.Kind, budget float64,
 	if min := l.Cfg.FleetCfg.C1Hold + l.Cfg.FleetCfg.C2Hold + l.Cfg.Horizon; dur < min {
 		dur = min
 	}
-	cfg := l.Cfg.FleetCfg
-	// Candidate evaluations already fan out across workers; keep each
-	// simulation single-threaded.
-	cfg.Workers = 1
-	cfg.CurveJumpStart = curves[0]
-	cfg.CurveNoJumpStart = curves[1]
-	cfg.RecordSeries = true
-	// Boot spans feed the time-to-steady series; each run gets a
-	// private single-writer set so concurrent candidates cannot race.
-	cfg.Telem = &telemetry.Set{
-		Metrics: telemetry.NewRegistry(),
-		Trace:   telemetry.NewTrace(1 << 17),
-		Cycles:  telemetry.NewCycleProfile(),
-	}
-	cfg.PushEvery = k.PushEvery
-	cfg.RemapPolicy = k.CompatPolicy
-	if k.CompatPolicy == jumpstart.RemapTolerant {
-		cfg.RemapHitRate = tuneRemapHitRate
-	}
-	cfg.PoolSize = k.PoolSize
-	cfg.PoolBackfillRate = k.PoolBackfillRate
-	cfg.WarmupMode = k.WarmupMode
-	if k.WarmupMode == jumpstart.WarmupLazy {
-		cfg.CurveLazy = lazyCurve
-	}
-	if k.FetchBudget > 0 {
-		cc := transport.DefaultClientConfig()
-		cc.Budget = k.FetchBudget
-		cfg.Transport = &cluster.TransportConfig{Client: cc}
-	}
-	eng, err := scenario.New(scenario.DefaultConfig(kind, cfg.Regions, dur))
+	eng, err := scenario.New(scenario.DefaultConfig(kind, l.Cfg.FleetCfg.Regions, dur))
 	if err != nil {
 		return autotune.Measurement{}, err
 	}
-	cfg.Scenario = eng
-	cfg.CurveFailover = curves[0].Stretch(failoverStretch)
-	f, err := cluster.NewFleet(cfg)
+	f, ticks, err := l.deploy(curves, dur, func(cfg *cluster.Config) {
+		// Candidate evaluations already fan out across workers; keep each
+		// simulation single-threaded.
+		cfg.Workers = 1
+		cfg.RecordSeries = true
+		// Boot spans feed the time-to-steady series.
+		cfg.Telem = privateTelemetry()
+		cfg.PushEvery = k.PushEvery
+		cfg.RemapPolicy = k.CompatPolicy
+		if k.CompatPolicy == jumpstart.RemapTolerant {
+			cfg.RemapHitRate = tuneRemapHitRate
+		}
+		cfg.PoolSize = k.PoolSize
+		cfg.PoolBackfillRate = k.PoolBackfillRate
+		cfg.WarmupMode = k.WarmupMode
+		if k.WarmupMode == jumpstart.WarmupLazy {
+			cfg.CurveLazy = lazyCurve
+		}
+		if k.FetchBudget > 0 {
+			cc := transport.DefaultClientConfig()
+			cc.Budget = k.FetchBudget
+			cfg.Transport = &cluster.TransportConfig{Client: cc}
+		}
+		cfg.Scenario = eng
+		cfg.CurveFailover = curves[0].Stretch(failoverStretch)
+	})
 	if err != nil {
 		return autotune.Measurement{}, err
 	}
-	f.StartDeployment()
-	ticks := f.Run(dur)
 	shortfall := make([]float64, len(ticks))
 	for i, t := range ticks {
 		shortfall[i] = 1 - t.ScenCapacity
 	}
 	return autotune.Measurement{
 		CapLossP99:      obs.Quantile(shortfall, 0.99),
-		CapLossMean:     cluster.ScenarioCapacityLoss(ticks, cfg.TickSeconds),
+		CapLossMean:     cluster.ScenarioCapacityLoss(ticks, l.Cfg.FleetCfg.TickSeconds),
 		TimeToSteadyP95: obs.Quantile(f.TimesToSteady(), 0.95),
 		Crashes:         f.Crashes(),
 		Fallbacks:       f.Fallbacks(),

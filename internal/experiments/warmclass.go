@@ -7,7 +7,6 @@ import (
 	"jumpstart/internal/cluster"
 	"jumpstart/internal/obs"
 	"jumpstart/internal/parallel"
-	"jumpstart/internal/telemetry"
 )
 
 // warmclassRegimes are the fleet configurations the warmclass figure
@@ -82,33 +81,24 @@ func (l *Lab) warmclass() (WarmclassResult, error) {
 	// The three regime deployments are independent deterministic runs:
 	// fan them out and merge in regime order.
 	runs, err := parallel.MapErr(l.Cfg.Workers, len(warmclassRegimes), func(i int) (warmclassRun, error) {
-		cfg := l.Cfg.FleetCfg
-		cfg.Workers = l.Cfg.Workers
-		cfg.CurveJumpStart = curves[0]
-		cfg.CurveNoJumpStart = curves[1]
-		cfg.RecordSeries = true
-		// A roomy private ring so a full deployment's boot spans
-		// survive to validation without eviction.
-		cfg.Telem = &telemetry.Set{
-			Metrics: telemetry.NewRegistry(),
-			Trace:   telemetry.NewTrace(1 << 17),
-			Cycles:  telemetry.NewCycleProfile(),
-		}
-		warmclassRegimes[i].configure(&cfg)
-		f, err := cluster.NewFleet(cfg)
+		tel := privateTelemetry()
+		f, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
+			cfg.RecordSeries = true
+			cfg.Telem = tel
+			warmclassRegimes[i].configure(cfg)
+		})
 		if err != nil {
 			return warmclassRun{}, err
 		}
-		f.StartDeployment()
-		ticks := f.Run(6 * l.Cfg.Horizon)
+		dt := l.Cfg.FleetCfg.TickSeconds
 		run := warmclassRun{
 			bootLat: f.BootLatencies(),
 			reasons: f.FallbackReasons(),
-			loss:    cluster.CapacityLoss(ticks, cfg.TickSeconds),
-			check:   obs.ValidateSpans(cfg.Telem.Trace.Events()),
+			loss:    cluster.CapacityLoss(ticks, dt),
+			check:   obs.ValidateSpans(tel.Trace.Events()),
 		}
 		for _, xs := range f.WarmupSeries() {
-			run.classes = append(run.classes, obs.Classify(xs, cfg.TickSeconds))
+			run.classes = append(run.classes, obs.Classify(xs, dt))
 		}
 		return run, nil
 	})

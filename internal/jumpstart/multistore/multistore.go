@@ -69,6 +69,12 @@ func (c Config) withDefaults() Config {
 	if c.Replicas > c.NodesPerRegion {
 		c.Replicas = c.NodesPerRegion
 	}
+	if c.ChunkSize <= 0 {
+		c.ChunkSize = transport.DefaultChunkSize
+	}
+	// Normalized once, so the long-haul transfer loop sees the same
+	// effective budget/timeout the per-leg clients use.
+	c.Client = c.Client.WithDefaults()
 	return c
 }
 
@@ -110,7 +116,6 @@ type node struct {
 // callers (the fleet's sequential merge phase, the CLIs) serialize.
 type Hierarchy struct {
 	cfg      Config
-	ccfg     transport.ClientConfig
 	nodes    [][]*node // [region][node]
 	intraFab *netsim.Fabric
 	interFab *netsim.Fabric
@@ -130,39 +135,26 @@ type Hierarchy struct {
 // New builds the hierarchy with empty stores on every node.
 func New(cfg Config) *Hierarchy {
 	cfg = cfg.withDefaults()
-	// Normalize the client template once, so the long-haul transfer
-	// loop sees the same effective budget/timeout the per-leg clients
-	// use.
-	ccfg := cfg.Client
-	d := transport.DefaultClientConfig()
-	if ccfg.RPCTimeout <= 0 {
-		ccfg.RPCTimeout = d.RPCTimeout
-	}
-	if ccfg.Budget <= 0 {
-		ccfg.Budget = d.Budget
-	}
-	if ccfg.BackoffBase <= 0 {
-		ccfg.BackoffBase = d.BackoffBase
-	}
-	if ccfg.BackoffCap <= 0 {
-		ccfg.BackoffCap = d.BackoffCap
-	}
-	h := &Hierarchy{
+	return &Hierarchy{
 		cfg:      cfg,
-		ccfg:     ccfg,
+		nodes:    newNodes(cfg),
 		intraFab: netsim.NewFabric(cfg.Intra),
 		interFab: netsim.NewFabric(cfg.Inter),
 		byNode:   map[nodeKey]map[jumpstart.PackageID]*Entry{},
 	}
-	h.nodes = make([][]*node, cfg.Regions)
-	for r := range h.nodes {
-		h.nodes[r] = make([]*node, cfg.NodesPerRegion)
-		for n := range h.nodes[r] {
+}
+
+// newNodes builds the [region][node] grid of empty shards.
+func newNodes(cfg Config) [][]*node {
+	nodes := make([][]*node, cfg.Regions)
+	for r := range nodes {
+		nodes[r] = make([]*node, cfg.NodesPerRegion)
+		for n := range nodes[r] {
 			st := jumpstart.NewStore()
-			h.nodes[r][n] = &node{store: st, srv: transport.NewServer(st, cfg.ChunkSize)}
+			nodes[r][n] = &node{store: st, srv: transport.NewServer(st, cfg.ChunkSize)}
 		}
 	}
-	return h
+	return nodes
 }
 
 // SetTelemetry installs the observation set (may be nil); telemetry
@@ -215,7 +207,7 @@ func (h *Hierarchy) fork(salt uint64) uint64 {
 // private virtual clock starting at the caller's time.
 func (h *Hierarchy) legClient(region, n int, now float64) (*transport.Client, *netsim.VirtualClock) {
 	clock := netsim.NewVirtualClock(now)
-	ccfg := h.ccfg
+	ccfg := h.cfg.Client
 	ccfg.Seed = h.fork(0x3a110000)
 	conn := transport.NewSimConn(h.nodes[region][n].srv, h.intraFab, intraLink(region, n),
 		clock, netsim.NewStream(h.fork(0x3a120000)), ccfg.RPCTimeout)
@@ -235,6 +227,14 @@ func (h *Hierarchy) record(e *Entry, region, n int, id jumpstart.PackageID) {
 	}
 	m[id] = e
 	e.regions[region] = true
+}
+
+// replicate stores e on every node of set in region, server-side (in
+// region, no network, no client draws) and indexes the copies.
+func (h *Hierarchy) replicate(e *Entry, region int, set []int) {
+	for _, n := range set {
+		h.record(e, region, n, h.nodes[region][n].store.PublishRevision(region, e.Bucket, e.Payload, e.Revision))
+	}
 }
 
 // newEntry appends a logical registry entry.
@@ -268,9 +268,7 @@ func (h *Hierarchy) Publish(region, bucket int, revision uint64, payload []byte,
 	}
 	e := h.newEntry(region, bucket, revision, payload)
 	h.record(e, region, set[0], id)
-	for _, n := range set[1:] {
-		h.record(e, region, n, h.nodes[region][n].store.PublishRevision(region, bucket, payload, revision))
-	}
+	h.replicate(e, region, set[1:])
 	h.tel.Counter("multistore.publish_ok_total").Inc()
 	return e, nil
 }
@@ -280,9 +278,7 @@ func (h *Hierarchy) Publish(region, bucket int, revision uint64, payload []byte,
 // republishes translated packages store-side at a revision push).
 func (h *Hierarchy) PublishDirect(region, bucket int, revision uint64, payload []byte) *Entry {
 	e := h.newEntry(region, bucket, revision, payload)
-	for _, n := range h.ReplicaSet(bucket) {
-		h.record(e, region, n, h.nodes[region][n].store.PublishRevision(region, bucket, payload, revision))
-	}
+	h.replicate(e, region, h.ReplicaSet(bucket))
 	return e
 }
 
@@ -402,11 +398,8 @@ func (h *Hierarchy) Propagate(now float64) PropagateStats {
 				continue
 			}
 			// Landed: replicate into the destination region's shard set
-			// under the entry's bucket (server-side, like in-region
-			// replication).
-			for _, n := range h.ReplicaSet(e.Bucket) {
-				h.record(e, dst, n, h.nodes[dst][n].store.PublishRevision(dst, e.Bucket, e.Payload, e.Revision))
-			}
+			// under the entry's bucket.
+			h.replicate(e, dst, h.ReplicaSet(e.Bucket))
 			stats.Transferred++
 		}
 	}
@@ -427,17 +420,11 @@ func (h *Hierarchy) transfer(e *Entry, dst int, now float64) bool {
 	link := InterLink(e.Origin, dst)
 	clock := netsim.NewVirtualClock(now)
 	stream := netsim.NewStream(h.fork(0x5e9d0000))
-	ccfg := h.ccfg
+	ccfg := h.cfg.Client
 	deadline := now + ccfg.Budget
 
-	chunkSize := h.cfg.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = transport.DefaultChunkSize
-	}
-	chunks := (len(e.Payload) + chunkSize - 1) / chunkSize
-	if chunks < 1 {
-		chunks = 1
-	}
+	// An empty payload still costs the one RPC that announces it.
+	chunks := max(1, transport.NumChunks(len(e.Payload), h.cfg.ChunkSize))
 	sent := 0
 	for sent < chunks {
 		if clock.Now() >= deadline {
@@ -464,12 +451,7 @@ func (h *Hierarchy) transfer(e *Entry, dst int, now float64) bool {
 // The stream fork counter is not reset: draw sequences stay unique
 // across the hierarchy's lifetime.
 func (h *Hierarchy) Wipe() {
-	for r := range h.nodes {
-		for n := range h.nodes[r] {
-			st := jumpstart.NewStore()
-			h.nodes[r][n] = &node{store: st, srv: transport.NewServer(st, h.cfg.ChunkSize)}
-		}
-	}
+	h.nodes = newNodes(h.cfg)
 	h.entries = nil
 	h.byNode = map[nodeKey]map[jumpstart.PackageID]*Entry{}
 	h.lastFailure = ""

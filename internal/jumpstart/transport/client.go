@@ -19,7 +19,8 @@ import (
 type Conn interface {
 	// Manifest asks the store to pick a package and describe it.
 	Manifest(region, bucket int, rnd uint64, exclude []jumpstart.PackageID) (*Manifest, error)
-	// Chunk fetches the compressed bytes of chunk idx of package id.
+	// Chunk fetches the bytes of chunk idx of package id. The result is
+	// read-only: a SimConn hands out the store's own memory.
 	Chunk(id jumpstart.PackageID, idx int) ([]byte, error)
 	// Publish uploads a collected package stamped with the publisher's
 	// build revision checksum (0 when unknown).
@@ -82,9 +83,9 @@ func DefaultClientConfig() ClientConfig {
 	}
 }
 
-// withDefaults fills zero fields so a partially-specified config (or
+// WithDefaults fills zero fields so a partially-specified config (or
 // the zero value) behaves sanely.
-func (c ClientConfig) withDefaults() ClientConfig {
+func (c ClientConfig) WithDefaults() ClientConfig {
 	d := DefaultClientConfig()
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = d.RPCTimeout
@@ -129,7 +130,8 @@ type Client struct {
 	tel   *telemetry.Set
 
 	fetches     uint64
-	deadline    float64
+	deadline    float64        // end of the in-flight request's budget window
+	jit         *netsim.Stream // the in-flight request's backoff jitter
 	lastFailure string
 	lastMan     *Manifest // manifest of the most recent successful Fetch
 
@@ -142,7 +144,7 @@ type Client struct {
 
 // NewClient builds a client over conn and clock.
 func NewClient(conn Conn, clock Clock, cfg ClientConfig) *Client {
-	return &Client{conn: conn, clock: clock, cfg: cfg.withDefaults()}
+	return &Client{conn: conn, clock: clock, cfg: cfg.WithDefaults()}
 }
 
 // SetTelemetry installs the observation set (may be nil). Events are
@@ -202,12 +204,12 @@ func retryable(err error) bool {
 // sleepBackoff waits out the attempt's backoff, truncating at the
 // budget deadline. It reports false when the deadline was hit. The
 // slept window lands as a "backoff" span under the in-flight fetch.
-func (c *Client) sleepBackoff(attempt int, jit *netsim.Stream) bool {
+func (c *Client) sleepBackoff(attempt int) bool {
 	now := c.clock.Now()
 	if now >= c.deadline {
 		return false
 	}
-	b := c.backoff(attempt, jit)
+	b := c.backoff(attempt, c.jit)
 	c.tel.Histogram("transport.backoff_seconds", backoffBounds).Observe(b)
 	c.tel.Counter("transport.retries_total").Inc()
 	c.tel.Event(c.clock.Now(), "transport", "retry",
@@ -228,18 +230,47 @@ func (c *Client) sleepBackoff(attempt int, jit *netsim.Stream) bool {
 	return true
 }
 
+// begin opens one budgeted request: a fresh deadline window (a stale
+// one can never leak in from an earlier request), a fresh jitter stream
+// and the span its RPC and backoff spans hang under. The caller clears
+// curSpan when the request ends.
+func (c *Client) begin() (start float64) {
+	start = c.clock.Now()
+	c.deadline = start + c.cfg.Budget
+	c.jit = netsim.NewStream(workload.Fork(c.cfg.Seed, c.fetches))
+	c.fetches++
+	c.lastFailure = ""
+	c.curSpan = c.tel.BeginSpan()
+	return start
+}
+
+// retry runs try until it succeeds, fails terminally, or the window
+// armed by begin runs out, backing off between attempts. On failure it
+// returns the consumer's fallback reason beside the error; what names
+// the request in the budget reason.
+func (c *Client) retry(what string, try func(attempt int) error) (reason string, err error) {
+	for attempt := 1; c.clock.Now() < c.deadline; attempt++ {
+		if err = try(attempt); err == nil {
+			return "", nil
+		}
+		if !retryable(err) {
+			return "no package available", err
+		}
+		c.tel.Counter("transport.rpc_failures_total").Inc()
+		if !c.sleepBackoff(attempt) {
+			break
+		}
+	}
+	return what + " budget exhausted", ErrBudget
+}
+
 // Fetch downloads one package for (region, bucket): the store picks
 // with rnd/exclude, then chunks stream over with verification and
 // resume-on-retry. Each call arms its own deadline budget window; it
 // fails with ErrBudget when that budget runs out, or ErrNoPackage when
 // the store has nothing to offer.
 func (c *Client) Fetch(region, bucket int, rnd uint64, exclude []jumpstart.PackageID) (*FetchResult, error) {
-	start := c.clock.Now()
-	c.deadline = start + c.cfg.Budget
-	jit := netsim.NewStream(workload.Fork(c.cfg.Seed, c.fetches))
-	c.fetches++
-	c.lastFailure = ""
-	c.curSpan = c.tel.BeginSpan()
+	start := c.begin()
 	defer func() { c.curSpan = 0 }()
 	c.tel.Event(start, "transport", "fetch-start",
 		telemetry.I("region", int64(region)),
@@ -249,7 +280,12 @@ func (c *Client) Fetch(region, bucket int, rnd uint64, exclude []jumpstart.Packa
 	res := &FetchResult{}
 	chunks := map[uint64][]byte{} // content address -> verified chunk
 	var m *Manifest
-	fail := func(reason string, err error) (*FetchResult, error) {
+	reason, err := c.retry("fetch", func(attempt int) (err error) {
+		res.Attempts = attempt
+		res.Data, err = c.tryOnce(region, bucket, rnd, exclude, &m, chunks, res)
+		return err
+	})
+	if err != nil {
 		c.lastFailure = reason
 		c.tel.Counter("transport.fetch_fail_total").Inc()
 		c.tel.Event(c.clock.Now(), "transport", "fetch-fail",
@@ -261,42 +297,24 @@ func (c *Client) Fetch(region, bucket int, rnd uint64, exclude []jumpstart.Packa
 			telemetry.I("attempts", int64(res.Attempts)))
 		return nil, err
 	}
-
-	for attempt := 1; ; attempt++ {
-		if c.clock.Now() >= c.deadline {
-			return fail("fetch budget exhausted", ErrBudget)
-		}
-		res.Attempts = attempt
-		data, err := c.tryOnce(region, bucket, rnd, exclude, &m, chunks, res)
-		if err == nil {
-			res.Data = data
-			res.ID = m.ID
-			res.Revision = m.Revision
-			res.Chunks = len(m.Chunks)
-			res.Elapsed = c.clock.Now() - start
-			res.Manifest = m
-			c.lastMan = m
-			c.tel.Counter("transport.fetch_ok_total").Inc()
-			c.tel.Histogram("transport.fetch_seconds", fetchLatencyBounds).Observe(res.Elapsed)
-			c.tel.Event(c.clock.Now(), "transport", "fetch-done",
-				telemetry.I("id", int64(res.ID)),
-				telemetry.I("attempts", int64(res.Attempts)),
-				telemetry.I("rpcs", int64(res.RPCs)),
-				telemetry.F("elapsed", res.Elapsed))
-			c.tel.EndSpan(c.curSpan, c.spanParent, start, c.clock.Now(), "transport", "transport.fetch",
-				telemetry.S("outcome", "ok"),
-				telemetry.I("id", int64(res.ID)),
-				telemetry.I("attempts", int64(res.Attempts)))
-			return res, nil
-		}
-		if !retryable(err) {
-			return fail("no package available", err)
-		}
-		c.tel.Counter("transport.rpc_failures_total").Inc()
-		if !c.sleepBackoff(attempt, jit) {
-			return fail("fetch budget exhausted", ErrBudget)
-		}
-	}
+	res.ID = m.ID
+	res.Revision = m.Revision
+	res.Chunks = len(m.Chunks)
+	res.Elapsed = c.clock.Now() - start
+	res.Manifest = m
+	c.lastMan = m
+	c.tel.Counter("transport.fetch_ok_total").Inc()
+	c.tel.Histogram("transport.fetch_seconds", fetchLatencyBounds).Observe(res.Elapsed)
+	c.tel.Event(c.clock.Now(), "transport", "fetch-done",
+		telemetry.I("id", int64(res.ID)),
+		telemetry.I("attempts", int64(res.Attempts)),
+		telemetry.I("rpcs", int64(res.RPCs)),
+		telemetry.F("elapsed", res.Elapsed))
+	c.tel.EndSpan(c.curSpan, c.spanParent, start, c.clock.Now(), "transport", "transport.fetch",
+		telemetry.S("outcome", "ok"),
+		telemetry.I("id", int64(res.ID)),
+		telemetry.I("attempts", int64(res.Attempts)))
+	return res, nil
 }
 
 // LastManifest returns the manifest of the most recent successful
@@ -314,21 +332,22 @@ type ChunkResult struct {
 // FetchChunk downloads and verifies a single chunk of a previously
 // fetched package — the lazy page-in path. Like Fetch it arms its own
 // per-fetch deadline budget and retries under the capped exponential
-// backoff; a stale budget from the boot fetch can never leak in.
+// backoff.
 func (c *Client) FetchChunk(man *Manifest, idx int) (*ChunkResult, error) {
 	if man == nil || idx < 0 || idx >= len(man.Chunks) {
 		return nil, fmt.Errorf("%w: page-in chunk %d out of range", ErrRPC, idx)
 	}
-	start := c.clock.Now()
-	c.deadline = start + c.cfg.Budget
-	jit := netsim.NewStream(workload.Fork(c.cfg.Seed, c.fetches))
-	c.fetches++
-	c.lastFailure = ""
-	c.curSpan = c.tel.BeginSpan()
+	start := c.begin()
 	defer func() { c.curSpan = 0 }()
 
 	res := &ChunkResult{}
-	fail := func(reason string, err error) (*ChunkResult, error) {
+	reason, err := c.retry("page-in", func(attempt int) (err error) {
+		res.Attempts = attempt
+		res.RPCs++
+		res.Data, err = c.chunk(man, idx)
+		return err
+	})
+	if err != nil {
 		c.lastFailure = reason
 		c.tel.Counter("transport.pagein_fail_total").Inc()
 		c.tel.EndSpan(c.curSpan, c.spanParent, start, c.clock.Now(), "transport", "transport.pagein",
@@ -336,41 +355,32 @@ func (c *Client) FetchChunk(man *Manifest, idx int) (*ChunkResult, error) {
 			telemetry.I("attempts", int64(res.Attempts)))
 		return nil, err
 	}
-	want := man.Chunks[idx]
-	for attempt := 1; ; attempt++ {
-		if c.clock.Now() >= c.deadline {
-			return fail("page-in budget exhausted", ErrBudget)
-		}
-		res.Attempts = attempt
-		c.tel.Counter("transport.rpcs_total").Inc()
-		res.RPCs++
-		t0 := c.clock.Now()
-		wire, err := c.conn.Chunk(man.ID, idx)
-		c.tel.SpanUnder(c.curSpan, t0, c.clock.Now(), "transport", "rpc.chunk",
-			telemetry.I("idx", int64(idx)),
-			telemetry.B("ok", err == nil))
-		if err == nil {
-			b, derr := decompressChunk(wire, man.ChunkSize)
-			if derr == nil && chunkHash(b) == want {
-				res.Data = b
-				res.Elapsed = c.clock.Now() - start
-				c.tel.Counter("transport.pagein_ok_total").Inc()
-				c.tel.EndSpan(c.curSpan, c.spanParent, start, c.clock.Now(), "transport", "transport.pagein",
-					telemetry.S("outcome", "ok"),
-					telemetry.I("idx", int64(idx)),
-					telemetry.I("attempts", int64(res.Attempts)))
-				return res, nil
-			}
-			err = fmt.Errorf("%w: chunk %d failed verification", ErrBadChunk, idx)
-		}
-		if !retryable(err) {
-			return fail("no package available", err)
-		}
-		c.tel.Counter("transport.rpc_failures_total").Inc()
-		if !c.sleepBackoff(attempt, jit) {
-			return fail("page-in budget exhausted", ErrBudget)
-		}
+	res.Elapsed = c.clock.Now() - start
+	c.tel.Counter("transport.pagein_ok_total").Inc()
+	c.tel.EndSpan(c.curSpan, c.spanParent, start, c.clock.Now(), "transport", "transport.pagein",
+		telemetry.S("outcome", "ok"),
+		telemetry.I("idx", int64(idx)),
+		telemetry.I("attempts", int64(res.Attempts)))
+	return res, nil
+}
+
+// chunk issues one chunk RPC and verifies the answer against the
+// manifest: no longer than a chunk may be, and hashing to its content
+// address. Nothing unverified is ever cached or returned.
+func (c *Client) chunk(man *Manifest, idx int) ([]byte, error) {
+	c.tel.Counter("transport.rpcs_total").Inc()
+	t0 := c.clock.Now()
+	b, err := c.conn.Chunk(man.ID, idx)
+	c.tel.SpanUnder(c.curSpan, t0, c.clock.Now(), "transport", "rpc.chunk",
+		telemetry.I("idx", int64(idx)),
+		telemetry.B("ok", err == nil))
+	if err != nil {
+		return nil, err
 	}
+	if len(b) > man.ChunkSize || chunkHash(b) != man.Chunks[idx] {
+		return nil, fmt.Errorf("%w: chunk %d failed verification", ErrBadChunk, idx)
+	}
+	return b, nil
 }
 
 // tryOnce runs one transfer attempt: resolve the manifest if not yet
@@ -388,8 +398,8 @@ func (c *Client) tryOnce(region, bucket int, rnd uint64, exclude []jumpstart.Pac
 		if err != nil {
 			return nil, err
 		}
-		if mm.ChunkSize <= 0 {
-			return nil, fmt.Errorf("%w: manifest chunk size %d", ErrRPC, mm.ChunkSize)
+		if err := mm.validate(); err != nil {
+			return nil, err
 		}
 		*m = mm
 	}
@@ -398,23 +408,11 @@ func (c *Client) tryOnce(region, bucket int, rnd uint64, exclude []jumpstart.Pac
 		if _, ok := chunks[h]; ok {
 			continue
 		}
-		c.tel.Counter("transport.rpcs_total").Inc()
 		res.RPCs++
 		res.ChunkRPC++
-		t0 := c.clock.Now()
-		wire, err := c.conn.Chunk(man.ID, idx)
-		c.tel.SpanUnder(c.curSpan, t0, c.clock.Now(), "transport", "rpc.chunk",
-			telemetry.I("idx", int64(idx)),
-			telemetry.B("ok", err == nil))
+		b, err := c.chunk(man, idx)
 		if err != nil {
 			return nil, err
-		}
-		b, err := decompressChunk(wire, man.ChunkSize)
-		if err != nil {
-			return nil, err
-		}
-		if chunkHash(b) != h {
-			return nil, fmt.Errorf("%w: chunk %d content-address mismatch", ErrBadChunk, idx)
 		}
 		chunks[h] = b
 	}

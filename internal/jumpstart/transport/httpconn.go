@@ -38,16 +38,23 @@ func NewHTTPConn(baseURL string, rpcTimeout float64) *HTTPConn {
 }
 
 // get issues a GET and returns the body, mapping HTTP failures onto
-// the protocol errors.
+// the protocol errors. net/http asks for gzip and inflates a
+// Content-Encoding: gzip response itself, so the body read here is
+// already decoded and maxBytes bounds the inflated size: a corrupt or
+// malicious response is refused, never allowed to OOM a consumer (same
+// rule as prof.Decode).
 func (c *HTTPConn) get(url string, maxBytes int64) ([]byte, error) {
 	resp, err := c.http.Get(url)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTimeout, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRPC, err)
+	}
+	if int64(len(body)) > maxBytes {
+		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrRPC, maxBytes)
 	}
 	switch {
 	case resp.StatusCode == http.StatusNotFound:
@@ -81,9 +88,8 @@ func (c *HTTPConn) Manifest(region, bucket int, rnd uint64, exclude []jumpstart.
 
 // Chunk implements Conn.
 func (c *HTTPConn) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
-	// The compressed chunk can exceed ChunkSize for incompressible
-	// data; allow generous framing overhead and let decompressChunk
-	// enforce the real bound.
+	// No chunk is longer than its package; the client holds the
+	// manifest and enforces the exact ChunkSize bound.
 	return c.get(fmt.Sprintf("%s/chunk?id=%d&idx=%d", c.base, id, idx), maxPublishBytes)
 }
 

@@ -6,27 +6,27 @@
 // Section VI's reliability story only matters because that hop can
 // misbehave.
 //
-// The wire protocol is chunked, checksummed and gzip-compressed:
-// a manifest names a picked package and the content addresses (FNV-1a
-// hashes) of its fixed-size chunks; chunks travel gzip-compressed and
-// are verified against their address on arrival. Because chunks are
-// content-addressed, a retry after a mid-transfer failure re-fetches
-// only the chunks it is missing — transfers resume, they never
-// restart. The client layers per-RPC timeouts, capped exponential
-// backoff with deterministic jitter, and a per-fetch deadline budget
-// on top; when the budget is exhausted the failure surfaces as a
+// The protocol is chunked and checksummed: a manifest names a picked
+// package and the content addresses (FNV-1a hashes) of its fixed-size
+// chunks, and every chunk is verified against its address on arrival.
+// Because chunks are content-addressed, a retry after a mid-transfer
+// failure re-fetches only the chunks it is missing — transfers resume,
+// they never restart. Conn and Server carry chunks raw; compression is
+// a property of the one real wire, so it lives at the HTTP edge alone
+// (handleChunk gzips the response, net/http inflates it for HTTPConn)
+// and the simulated connection, which has no wire, pays for none. The
+// client layers per-RPC timeouts, capped exponential backoff with
+// deterministic jitter, and a per-fetch deadline budget on top; when
+// the budget is exhausted the failure surfaces as a
 // BootInfo.FallbackReason and the consumer takes the ordinary
 // no-Jump-Start fallback instead of crashing (Section VI-A3).
 package transport
 
 import (
-	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"io"
 
 	"jumpstart/internal/jumpstart"
 )
@@ -47,8 +47,8 @@ var (
 	ErrTimeout = errors.New("transport: rpc timed out")
 	// ErrRPC means the far end answered with a failure.
 	ErrRPC = errors.New("transport: rpc failed")
-	// ErrBadChunk means a chunk failed decompression or content-hash
-	// verification.
+	// ErrBadChunk means a chunk failed its length bound or content-hash
+	// verification, or the reassembled payload its checksum.
 	ErrBadChunk = errors.New("transport: chunk failed verification")
 	// ErrBudget means the per-fetch deadline budget ran out.
 	ErrBudget = errors.New("transport: fetch budget exhausted")
@@ -78,17 +78,24 @@ func chunkHash(b []byte) uint64 {
 	return h.Sum64()
 }
 
+// NumChunks is the number of chunkSize-byte chunks a size-byte payload
+// splits into (chunkSize > 0; written so a hostile chunkSize cannot
+// overflow it).
+func NumChunks(size, chunkSize int) int {
+	n := size / chunkSize
+	if size%chunkSize != 0 {
+		n++
+	}
+	return n
+}
+
 // chunkBounds returns the [lo, hi) byte range of chunk idx.
 func chunkBounds(size, chunkSize, idx int) (int, int, error) {
-	lo := idx * chunkSize
-	if idx < 0 || lo >= size {
+	if idx < 0 || idx >= NumChunks(size, chunkSize) {
 		return 0, 0, fmt.Errorf("%w: chunk %d out of range", ErrRPC, idx)
 	}
-	hi := lo + chunkSize
-	if hi > size {
-		hi = size
-	}
-	return lo, hi, nil
+	lo := idx * chunkSize
+	return lo, min(lo+chunkSize, size), nil
 }
 
 // manifestFor chunks a stored package.
@@ -101,41 +108,30 @@ func manifestFor(p *jumpstart.StoredPackage, chunkSize int) *Manifest {
 		Size:      len(p.Data),
 		CRC32:     crc32.ChecksumIEEE(p.Data),
 		ChunkSize: chunkSize,
+		Chunks:    make([]uint64, NumChunks(len(p.Data), chunkSize)),
 	}
-	for lo := 0; lo < len(p.Data); lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > len(p.Data) {
-			hi = len(p.Data)
-		}
-		m.Chunks = append(m.Chunks, chunkHash(p.Data[lo:hi]))
+	for idx := range m.Chunks {
+		lo, hi, _ := chunkBounds(m.Size, chunkSize, idx) // idx is in range by construction
+		m.Chunks[idx] = chunkHash(p.Data[lo:hi])
 	}
 	return m
 }
 
-// compressChunk gzips one chunk for the wire.
-func compressChunk(b []byte) []byte {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	zw.Write(b)
-	zw.Close()
-	return buf.Bytes()
-}
-
-// decompressChunk inflates a wire chunk, refusing to inflate past
-// maxLen (a corrupt or malicious chunk must not OOM a consumer, same
-// rule as prof.Decode).
-func decompressChunk(wire []byte, maxLen int) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(wire))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChunk, err)
+// validate rejects a manifest whose geometry cannot describe a real
+// package. A manifest arrives from outside the process; the client
+// sizes buffers and indexes by it, so it is checked once, on receipt
+// (a consumer must survive a hostile store, Section VI-A3).
+func (m *Manifest) validate() error {
+	switch {
+	case m == nil:
+		return fmt.Errorf("%w: empty manifest", ErrRPC)
+	case m.Size < 0 || m.Size > maxPublishBytes:
+		return fmt.Errorf("%w: manifest size %d", ErrRPC, m.Size)
+	case m.ChunkSize <= 0:
+		return fmt.Errorf("%w: manifest chunk size %d", ErrRPC, m.ChunkSize)
+	case len(m.Chunks) != NumChunks(m.Size, m.ChunkSize):
+		return fmt.Errorf("%w: manifest lists %d chunks for %d bytes in %d-byte chunks",
+			ErrRPC, len(m.Chunks), m.Size, m.ChunkSize)
 	}
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, int64(maxLen)+1))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChunk, err)
-	}
-	if len(out) > maxLen {
-		return nil, fmt.Errorf("%w: chunk inflates past %d bytes", ErrBadChunk, maxLen)
-	}
-	return out, nil
+	return nil
 }

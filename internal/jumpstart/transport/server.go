@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,9 +25,8 @@ type Server struct {
 	store     *jumpstart.Store
 	chunkSize int
 
-	// tel/clock observe RPC traffic; telemetry never alters behavior.
-	tel   *telemetry.Set
-	clock func() float64
+	// tel observes RPC traffic; telemetry never alters behavior.
+	tel *telemetry.Set
 }
 
 // NewServer builds a store server (chunkSize <= 0 selects
@@ -41,19 +41,9 @@ func NewServer(store *jumpstart.Store, chunkSize int) *Server {
 // Store returns the backing package store.
 func (s *Server) Store() *jumpstart.Store { return s.store }
 
-// SetTelemetry installs the observation set and virtual clock for
-// server-side RPC events. Either may be nil.
-func (s *Server) SetTelemetry(tel *telemetry.Set, clock func() float64) {
-	s.tel = tel
-	s.clock = clock
-}
-
-func (s *Server) now() float64 {
-	if s.clock == nil {
-		return 0
-	}
-	return s.clock()
-}
+// SetTelemetry installs the observation set for server-side RPC
+// counters (may be nil).
+func (s *Server) SetTelemetry(tel *telemetry.Set) { s.tel = tel }
 
 // Manifest picks a package for (region, bucket) with the given random
 // value and exclusion list, and returns its chunk manifest.
@@ -67,7 +57,8 @@ func (s *Server) Manifest(region, bucket int, rnd uint64, exclude []jumpstart.Pa
 	return manifestFor(p, s.chunkSize), nil
 }
 
-// Chunk returns the gzip-compressed bytes of chunk idx of package id.
+// Chunk returns the bytes of chunk idx of package id: a read-only,
+// capacity-clipped view of the stored payload, not a copy.
 func (s *Server) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
 	p, ok := s.store.Get(id)
 	if !ok {
@@ -78,7 +69,7 @@ func (s *Server) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
 		return nil, err
 	}
 	s.tel.Counter("transport.server.chunks_total").Inc()
-	return compressChunk(p.Data[lo:hi]), nil
+	return p.Data[lo:hi:hi], nil
 }
 
 // Publish stores an uploaded package, stamped with the publisher's
@@ -91,8 +82,12 @@ func (s *Server) Publish(region, bucket int, revision uint64, data []byte) jumps
 // Handler returns the HTTP surface of the protocol:
 //
 //	GET  /manifest?region=R&bucket=B&rnd=N&exclude=1,2  -> Manifest JSON (404 when none)
-//	GET  /chunk?id=I&idx=K                              -> gzip chunk bytes
+//	GET  /chunk?id=I&idx=K                              -> chunk bytes, Content-Encoding: gzip
 //	POST /publish?region=R&bucket=B&rev=C               -> {"id": N}
+//
+// This is the only place a chunk is compressed: HTTP is the only real
+// wire, and the Content-Encoding header lets net/http (or curl
+// --compressed) undo it without the client knowing the format.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/manifest", s.handleManifest)
@@ -156,13 +151,18 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	wire, err := s.Chunk(jumpstart.PackageID(id), idx)
+	b, err := s.Chunk(jumpstart.PackageID(id), idx)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire)
+	w.Header().Set("Content-Encoding", "gzip")
+	// A write error here means the client went away mid-response; it
+	// sees a truncated stream and retries, so there is nobody to tell.
+	zw := gzip.NewWriter(w)
+	zw.Write(b)
+	zw.Close()
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {

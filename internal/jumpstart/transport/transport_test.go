@@ -2,7 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -34,7 +38,7 @@ func newTestStack(t *testing.T, payload []byte, chunkSize int, net netsim.Config
 	srv := NewServer(store, chunkSize)
 	clock := netsim.NewVirtualClock(0)
 	conn := NewSimConn(srv, netsim.NewFabric(net), "client", clock,
-		netsim.NewStream(workload.Fork(42, 7)), ccfg.withDefaults().RPCTimeout)
+		netsim.NewStream(workload.Fork(42, 7)), ccfg.WithDefaults().RPCTimeout)
 	return srv, NewClient(conn, clock, ccfg), clock, id
 }
 
@@ -127,7 +131,7 @@ func TestChunkResumeAfterMidTransferDrop(t *testing.T) {
 	}
 }
 
-// corruptOnceConn corrupts the first chunk's wire bytes once; the
+// corruptOnceConn corrupts the first chunk's bytes once; the
 // client must reject it by content address and re-fetch.
 type corruptOnceConn struct {
 	Conn
@@ -135,12 +139,12 @@ type corruptOnceConn struct {
 }
 
 func (c *corruptOnceConn) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
-	wire, err := c.Conn.Chunk(id, idx)
+	b, err := c.Conn.Chunk(id, idx)
 	if err != nil || c.fired {
-		return wire, err
+		return b, err
 	}
 	c.fired = true
-	bad := append([]byte{}, wire...)
+	bad := append([]byte{}, b...)
 	bad[len(bad)/2] ^= 0xff
 	return bad, nil
 }
@@ -410,13 +414,154 @@ func TestServerChunkBounds(t *testing.T) {
 	if _, err := srv.Chunk(id+5, 0); err == nil {
 		t.Fatal("unknown package accepted")
 	}
-	wire, err := srv.Chunk(id, 3) // tail chunk, 1000-768 = 232 bytes
+	payload := testPayload(1000, 10)
+	b, err := srv.Chunk(id, 3) // tail chunk, 1000-768 = 232 bytes
+	if err != nil || !bytes.Equal(b, payload[768:]) {
+		t.Fatalf("tail chunk: len=%d err=%v", len(b), err)
+	}
+	// The chunk is a view of the stored payload, clipped so an append by
+	// the receiver reallocates instead of writing into the store.
+	b, err = srv.Chunk(id, 1)
+	if err != nil || !bytes.Equal(b, payload[256:512]) || cap(b) != len(b) {
+		t.Fatalf("chunk 1: len=%d cap=%d err=%v", len(b), cap(b), err)
+	}
+}
+
+// hostileConn answers every manifest RPC with man and every chunk RPC
+// with chunk, whatever was asked for.
+type hostileConn struct {
+	Conn
+	man   *Manifest
+	chunk []byte
+}
+
+func (h *hostileConn) Manifest(int, int, uint64, []jumpstart.PackageID) (*Manifest, error) {
+	return h.man, nil
+}
+
+func (h *hostileConn) Chunk(jumpstart.PackageID, int) ([]byte, error) { return h.chunk, nil }
+
+// TestHostileManifestFallsBack is the regression test for the
+// unvalidated manifest: a negative Size used to panic in tryOnce
+// (makeslice: cap out of range) and a huge one was an OOM, where
+// Section VI-A3 wants a fallback. Every impossible geometry is now a
+// retryable RPC failure, so the fetch burns its budget and reports it.
+func TestHostileManifestFallsBack(t *testing.T) {
+	for name, man := range map[string]*Manifest{
+		"nil":              nil,
+		"negative size":    {Size: -1, ChunkSize: 16},
+		"huge size":        {Size: 1 << 40, ChunkSize: 1 << 40, Chunks: []uint64{1}},
+		"zero chunk size":  {Size: 16, Chunks: []uint64{1}},
+		"too few chunks":   {Size: 64, ChunkSize: 16, Chunks: []uint64{1, 2, 3}},
+		"too many chunks":  {Size: 16, ChunkSize: 16, Chunks: []uint64{1, 2}},
+		"chunk size wraps": {Size: 16, ChunkSize: int(^uint(0) >> 1), Chunks: []uint64{1, 2}},
+	} {
+		clock := netsim.NewVirtualClock(0)
+		cli := NewClient(&hostileConn{man: man}, clock, ClientConfig{Budget: 5})
+		res, err := cli.Fetch(0, 0, 1, nil)
+		if !errors.Is(err, ErrBudget) || res != nil {
+			t.Errorf("%s: err = %v res = %v, want ErrBudget", name, err, res)
+		}
+		if cli.PickFailure() != "fetch budget exhausted" {
+			t.Errorf("%s: failure = %q", name, cli.PickFailure())
+		}
+	}
+}
+
+// TestOverlongChunkRejected: a chunk longer than the manifest's
+// ChunkSize is refused as ErrBadChunk even when its content address
+// matches — on the lazy page-in path nothing downstream would notice —
+// and a fetch that meets one retries past it.
+func TestOverlongChunkRejected(t *testing.T) {
+	long := testPayload(64, 15)
+	man := &Manifest{Size: 16, ChunkSize: 16, Chunks: []uint64{chunkHash(long)}}
+	clock := netsim.NewVirtualClock(0)
+	cli := NewClient(&hostileConn{man: man, chunk: long}, clock, ClientConfig{Budget: 5})
+	if _, err := cli.chunk(man, 0); !errors.Is(err, ErrBadChunk) {
+		t.Fatalf("over-long chunk err = %v, want ErrBadChunk", err)
+	}
+	if _, err := cli.FetchChunk(man, 0); !errors.Is(err, ErrBudget) {
+		t.Fatalf("over-long page-in err = %v, want ErrBudget", err)
+	}
+
+	payload := testPayload(5_000, 16)
+	_, healthy, clock, _ := newTestStack(t, payload, 2048, netsim.Config{}, ClientConfig{})
+	cli = NewClient(&longOnceConn{Conn: healthy.conn}, clock, ClientConfig{})
+	res, err := cli.Fetch(0, 0, 7, nil)
+	if err != nil || !bytes.Equal(res.Data, payload) {
+		t.Fatalf("fetch past an over-long chunk: err=%v", err)
+	}
+	if res.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (over-long chunk forces one retry)", res.Attempts)
+	}
+}
+
+// longOnceConn pads the first chunk it serves past ChunkSize, once.
+type longOnceConn struct {
+	Conn
+	fired bool
+}
+
+func (c *longOnceConn) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
+	b, err := c.Conn.Chunk(id, idx)
+	if err != nil || c.fired {
+		return b, err
+	}
+	c.fired = true
+	return append(b, 0), nil
+}
+
+// TestHTTPRefusesOverlongInflatedBody: the HTTP conn reads the body
+// net/http inflates, so its size limit bounds the inflated bytes — a
+// small gzip response that inflates past the limit is refused, not
+// buffered.
+func TestHTTPRefusesOverlongInflatedBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzip.NewWriter(w)
+		zw.Write(make([]byte, 1<<20)) // ~1 KiB on the wire
+		zw.Close()
+	}))
+	defer ts.Close()
+	conn := NewHTTPConn(ts.URL, 5)
+	if _, err := conn.get(ts.URL, 1<<20); err != nil {
+		t.Fatalf("body at the limit refused: %v", err)
+	}
+	if _, err := conn.get(ts.URL, 1<<20-1); !errors.Is(err, ErrRPC) {
+		t.Fatalf("body inflating past the limit: err = %v, want ErrRPC", err)
+	}
+}
+
+// TestHTTPChunkIsGzipOnTheWire pins where the encoding lives: the
+// handler compresses, a client that does not undo Content-Encoding sees
+// gzip bytes, and HTTPConn hands the Client the raw chunk.
+func TestHTTPChunkIsGzipOnTheWire(t *testing.T) {
+	store := jumpstart.NewStore()
+	payload := bytes.Repeat([]byte("jumpstart "), 400)
+	id := store.Publish(0, 0, payload)
+	ts := httptest.NewServer(NewServer(store, 1024).Handler())
+	defer ts.Close()
+
+	raw := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	resp, err := raw.Get(fmt.Sprintf("%s/chunk?id=%d&idx=1", ts.URL, id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decompressChunk(wire, 256)
-	if err != nil || len(b) != 232 {
-		t.Fatalf("tail chunk: len=%d err=%v", len(b), err)
+	defer resp.Body.Close()
+	wire, _ := io.ReadAll(resp.Body)
+	if resp.Header.Get("Content-Encoding") != "gzip" || len(wire) >= 1024 {
+		t.Fatalf("wire chunk: encoding %q, %d bytes", resp.Header.Get("Content-Encoding"), len(wire))
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := io.ReadAll(zr); !bytes.Equal(b, payload[1024:2048]) {
+		t.Fatal("wire chunk does not inflate to the stored bytes")
+	}
+	b, err := NewHTTPConn(ts.URL, 5).Chunk(id, 1)
+	if err != nil || !bytes.Equal(b, payload[1024:2048]) {
+		t.Fatalf("HTTPConn chunk: len=%d err=%v", len(b), err)
 	}
 }
 
@@ -433,7 +578,7 @@ func TestSimFetchTelemetryZeroPerturbation(t *testing.T) {
 		cli := NewClient(conn, clock, ClientConfig{Seed: 77, Budget: 120})
 		if withTel {
 			cli.SetTelemetry(telemetry.NewSet())
-			srv.SetTelemetry(telemetry.NewSet(), clock.Now)
+			srv.SetTelemetry(telemetry.NewSet())
 		}
 		res, err := cli.Fetch(0, 0, 1, nil)
 		if err != nil {
