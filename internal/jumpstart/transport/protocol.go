@@ -13,8 +13,9 @@
 // failure re-fetches only the chunks it is missing — transfers resume,
 // they never restart. Conn and Server carry chunks raw; compression is
 // a property of the one real wire, so it lives at the HTTP edge alone
-// (handleChunk gzips the response, net/http inflates it for HTTPConn)
-// and the simulated connection, which has no wire, pays for none. The
+// (handleChunk gzips the response, net/http inflates it for HTTPConn).
+// The simulated connection has no wire; it round-trips each chunk
+// through the same codec to keep its host cost (see wireRoundTrip). The
 // client layers per-RPC timeouts, capped exponential backoff with
 // deterministic jitter, and a per-fetch deadline budget on top; when
 // the budget is exhausted the failure surfaces as a

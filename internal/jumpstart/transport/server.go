@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -160,9 +161,37 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Encoding", "gzip")
 	// A write error here means the client went away mid-response; it
 	// sees a truncated stream and retries, so there is nobody to tell.
+	gzipChunk(w, b)
+}
+
+// gzipChunk writes one chunk to w in the wire encoding.
+func gzipChunk(w io.Writer, b []byte) {
 	zw := gzip.NewWriter(w)
 	zw.Write(b)
 	zw.Close()
+}
+
+// wireRoundTrip puts one chunk through the wire encoding and back,
+// refusing to inflate past maxLen, as net/http and HTTPConn's bounded
+// read do between them on the real wire. SimConn calls it so that a
+// simulated chunk RPC costs the host what it cost before the encoding
+// moved to the HTTP edge; CHANGES.md (PR 14) says why that is kept.
+func wireRoundTrip(b []byte, maxLen int) ([]byte, error) {
+	var wire bytes.Buffer
+	gzipChunk(&wire, b)
+	zr, err := gzip.NewReader(&wire)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadChunk, err)
+	}
+	defer zr.Close()
+	out, err := io.ReadAll(io.LimitReader(zr, int64(maxLen)+1))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadChunk, err)
+	}
+	if len(out) > maxLen {
+		return nil, fmt.Errorf("%w: chunk inflates past %d bytes", ErrBadChunk, maxLen)
+	}
+	return out, nil
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {

@@ -62,7 +62,11 @@ func (c *SimConn) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
 	if err := c.rpc(); err != nil {
 		return nil, err
 	}
-	return c.srv.Chunk(id, idx)
+	b, err := c.srv.Chunk(id, idx)
+	if err != nil {
+		return nil, err
+	}
+	return wireRoundTrip(b, c.srv.chunkSize)
 }
 
 // Publish implements Conn.

@@ -565,6 +565,23 @@ func TestHTTPChunkIsGzipOnTheWire(t *testing.T) {
 	}
 }
 
+// TestWireRoundTrip: the codec round trip SimConn applies hands back
+// the chunk's bytes in a buffer of its own and refuses to inflate past
+// the chunk size.
+func TestWireRoundTrip(t *testing.T) {
+	in := bytes.Repeat([]byte("jumpstart"), 500)
+	out, err := wireRoundTrip(in, len(in))
+	if err != nil || !bytes.Equal(out, in) {
+		t.Fatalf("round trip: err = %v, equal = %v", err, bytes.Equal(out, in))
+	}
+	if &out[0] == &in[0] {
+		t.Fatal("round trip returned the input buffer")
+	}
+	if _, err := wireRoundTrip(in, len(in)-1); !errors.Is(err, ErrBadChunk) {
+		t.Fatalf("over-long inflate: err = %v, want ErrBadChunk", err)
+	}
+}
+
 // TestSimFetchTelemetryZeroPerturbation: the same seeded lossy fetch
 // with and without telemetry produces the same outcome and timeline.
 func TestSimFetchTelemetryZeroPerturbation(t *testing.T) {
