@@ -51,6 +51,7 @@ verify:
 # -fuzz target per package per run, so add one line per target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFetchHostileConn$$' -fuzztime 10s ./internal/jumpstart/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayInvalidation$$' -fuzztime 10s ./internal/server/
 
 # The *sweep targets below are developer shortcuts, not CI steps: each
 # re-runs, verbosely and under -race, a subset of what `verify` just

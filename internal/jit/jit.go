@@ -173,12 +173,11 @@ type JIT struct {
 
 	active []*Translation // by FuncID; nil = interpreter
 
-	// epoch counts every change to the set of active translations or
-	// their addresses (compile, relocation, activation). Replay caches
-	// key on it: any entry recorded under an older epoch can no longer
-	// be trusted, because the code it charged for may have moved tiers
-	// or addresses.
-	epoch uint64
+	// epoch counts changes to running code: it moves once per change
+	// of some function's active translation, and changed[fn] is its
+	// value at fn's latest change (see Epoch and ChangedAt).
+	epoch   uint64
+	changed []uint64 // by FuncID
 
 	// Telemetry (all nil when disabled — the methods are nil-safe).
 	tel        *telemetry.Set
@@ -190,10 +189,11 @@ type JIT struct {
 // New creates a JIT for prog with the given options and code cache.
 func New(prog *bytecode.Program, opts Options, cc *CodeCache) *JIT {
 	return &JIT{
-		prog:   prog,
-		opts:   opts,
-		cc:     cc,
-		active: make([]*Translation, len(prog.Funcs)),
+		prog:    prog,
+		opts:    opts,
+		cc:      cc,
+		active:  make([]*Translation, len(prog.Funcs)),
+		changed: make([]uint64, len(prog.Funcs)),
 	}
 }
 
@@ -255,17 +255,28 @@ func (j *JIT) Cache() *CodeCache { return j.cc }
 // interpreter).
 func (j *JIT) Active(id bytecode.FuncID) *Translation { return j.active[id] }
 
-// SetActive installs t as fn's current translation.
+// SetActive installs t as fn's current translation (nil = back to the
+// interpreter) and stamps the change.
 func (j *JIT) SetActive(id bytecode.FuncID, t *Translation) {
 	j.active[id] = t
 	j.epoch++
+	j.changed[id] = j.epoch
 }
 
-// Epoch returns the translation-layout epoch: a counter bumped every
-// time a translation is placed, relocated or (de)activated. Anything
-// derived from translation addresses or tiers (e.g. replay buffers) is
-// stale once the epoch moves.
+// Epoch returns the running-code epoch: a monotonic counter that moves
+// exactly when some function's active translation changes — a tier-1
+// or live compile that was placed, each function a relocation
+// activates, a SetActive. A tier-2 compile parked in RegionTemp and a
+// placement that fails in Alloc change nothing that executes and do
+// not move it. A replay capture that sees it move between its start
+// and its end ran partly on code that no longer runs, and is discarded.
 func (j *JIT) Epoch() uint64 { return j.epoch }
+
+// ChangedAt returns the epoch at which fn's active translation last
+// changed (0 = never: still the interpreter it started on). Whatever
+// was derived from fn's tier or block addresses under epoch e is still
+// exact iff ChangedAt(fn) <= e.
+func (j *JIT) ChangedAt(id bytecode.FuncID) uint64 { return j.changed[id] }
 
 // CompileProfiling builds and places the tier-1 translation for fn and
 // makes it active.
@@ -274,7 +285,7 @@ func (j *JIT) CompileProfiling(fn *bytecode.Function) (*Translation, error) {
 	if err := j.place(t, RegionProfile); err != nil {
 		return nil, err
 	}
-	j.active[fn.ID] = t
+	j.SetActive(fn.ID, t)
 	j.noteCompile(t)
 	return t, nil
 }
@@ -286,7 +297,7 @@ func (j *JIT) CompileLive(fn *bytecode.Function) (*Translation, error) {
 	if err := j.place(t, RegionLive); err != nil {
 		return nil, err
 	}
-	j.active[fn.ID] = t
+	j.SetActive(fn.ID, t)
 	j.noteCompile(t)
 	return t, nil
 }
@@ -327,7 +338,7 @@ func (j *JIT) RelocateOptimized(trans map[string]*Translation, order []string) e
 		if err := j.relocate(t); err != nil {
 			return err
 		}
-		j.active[t.Fn.ID] = t
+		j.SetActive(t.Fn.ID, t)
 		return nil
 	}
 	for _, name := range order {
@@ -452,7 +463,6 @@ func estimateOptSize(fn *bytecode.Function) int {
 // place allocates addresses for a freshly lowered translation in the
 // given region using its current Order.
 func (j *JIT) place(t *Translation, region Region) error {
-	j.epoch++
 	size := 0
 	for _, b := range t.Order {
 		size += t.CFG.Blocks[b].Size()
@@ -472,7 +482,6 @@ func (j *JIT) place(t *Translation, region Region) error {
 // relocate assigns a tier-2 translation's final hot and cold section
 // addresses.
 func (j *JIT) relocate(t *Translation) error {
-	j.epoch++
 	hotBase, err := j.cc.Alloc(RegionHot, t.HotSize)
 	if err != nil {
 		return err

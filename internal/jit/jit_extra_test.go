@@ -140,3 +140,53 @@ func TestGuardFailureViaPolymorphicInlineSite(t *testing.T) {
 	}
 	_ = interp.MultiTracer{} // keep import for symmetry with other tests
 }
+
+// TestEpochMovesOnlyWithRunningCode pins what Epoch and ChangedAt
+// mean: one tick per change of some function's active translation,
+// stamped on that function; code nobody runs moves nothing.
+func TestEpochMovesOnlyWithRunningCode(t *testing.T) {
+	w := newWorld(t)
+	cfg := DefaultCacheConfig()
+	cfg.LiveCap = 64 // too small for any live translation
+	j := New(w.prog, DefaultOptions(), NewCodeCache(cfg))
+	p := collectProfile(t, w, j, 5) // tier-1 compiles every function
+	n := uint64(len(w.prog.Funcs))
+	if j.Epoch() != n {
+		t.Fatalf("epoch %d after %d tier-1 activations", j.Epoch(), n)
+	}
+	handler, _ := w.prog.FuncByName("handler")
+	total, _ := w.prog.FuncByName("cartTotal")
+
+	if _, err := j.CompileLive(handler); err == nil {
+		t.Fatal("live compile fit a 64-byte region")
+	}
+	trans := map[string]*Translation{}
+	for _, name := range []string{"handler", "cartTotal"} {
+		fn, _ := w.prog.FuncByName(name)
+		tr, err := j.CompileOptimized(fn, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trans[name] = tr
+	}
+	if j.Epoch() != n {
+		t.Fatalf("epoch moved to %d on a failed placement and two temp compiles", j.Epoch())
+	}
+
+	if err := j.RelocateOptimized(trans, []string{"cartTotal", "handler"}); err != nil {
+		t.Fatal(err)
+	}
+	if j.Epoch() != n+2 || j.ChangedAt(total.ID) != n+1 || j.ChangedAt(handler.ID) != n+2 {
+		t.Fatalf("after relocating two functions: epoch %d, cartTotal stamped %d, handler %d",
+			j.Epoch(), j.ChangedAt(total.ID), j.ChangedAt(handler.ID))
+	}
+	for _, fn := range w.prog.Funcs {
+		if fn != handler && fn != total && j.ChangedAt(fn.ID) > n {
+			t.Fatalf("%s stamped %d by a relocation that did not touch it", fn.Name, j.ChangedAt(fn.ID))
+		}
+	}
+	j.SetActive(total.ID, nil)
+	if j.Epoch() != n+3 || j.ChangedAt(total.ID) != n+3 {
+		t.Fatalf("SetActive: epoch %d, stamp %d", j.Epoch(), j.ChangedAt(total.ID))
+	}
+}

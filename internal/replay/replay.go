@@ -12,12 +12,13 @@
 // Correctness contract: a replayed call is byte-identical to real
 // execution — same cycles per bucket, same microarch state evolution,
 // same heap watermark and object ids afterwards, same fuel and guard
-// accounting, same return value. Entries are keyed under the JIT's
-// layout epoch; any compile, relocation or activation bumps the epoch
-// and the whole cache drops, so stale translations can never replay.
-// Captures that observe anything unreplayable — a unit load, a
-// compile, an instrumentation write, a fault, a non-immediate return —
-// are discarded.
+// accounting, same return value. An entry is stamped with the JIT
+// epoch it was captured under and is dropped at lookup once the active
+// translation of any function it depends on has changed since (see
+// Cache.stale), so stale translations can never replay while entries
+// that a compile did not touch keep hitting. Captures that observe
+// anything unreplayable — a unit load, a compile, an instrumentation
+// write, a fault, a non-immediate return — are discarded.
 package replay
 
 import (
@@ -66,8 +67,19 @@ type Entry struct {
 	// allocations get the addresses real execution would have produced.
 	AllocBytes   uint64
 	AllocObjects uint64
-	// Enters lists every function activated in the subtree.
+	// Enters lists every function activated in the subtree. Together
+	// with Caller these are the entry's dependencies: the functions
+	// whose translations its charges and addresses were read from.
 	Enters []FnCount
+	// Epoch is the JIT epoch the whole capture ran under.
+	Epoch uint64
+	// Caller is the calling function when the key's call context is
+	// non-zero (ViaCaller): an inlined callee runs blocks of the
+	// caller's translation and a devirtualized one is charged by its
+	// guard, so the entry is only as good as that translation. Under a
+	// zero context nothing in the subtree reads the caller's code.
+	Caller    bytecode.FuncID
+	ViaCaller bool
 }
 
 // key identifies a memoizable call: the callee, the caller-side
@@ -110,29 +122,39 @@ type Config struct {
 }
 
 // Cache capacity defaults. There is no eviction: correctness never
-// depends on hit rate, so a full cache simply stops capturing.
+// depends on hit rate, so a cache full of live entries simply stops
+// capturing new keys. The values are sized to the repo benchmark's
+// peak-RSS bound (DESIGN §5d): entries outlive the compiles that do
+// not touch them, so the cache does fill. Only every
+// MicroSampleEvery-th request records events, and an entry without
+// them still replays the unsampled requests from its base charges, so
+// the event budget can be small without costing hits.
 const (
-	DefaultMaxEntries = 1 << 16
-	DefaultMaxEvents  = 4 << 20
+	DefaultMaxEntries = 1 << 12
+	DefaultMaxEvents  = 64 << 10
 )
 
 // Cache is one server's replay memoizer. It implements
 // interp.Memoizer. Not safe for concurrent use — like the rest of a
 // simulated server, it is single-threaded.
 type Cache struct {
-	cfg   Config
-	epoch uint64 // JIT epoch the entries were captured under
+	cfg Config
 
 	entries     map[key]*Entry
 	totalEvents int
+	swept       uint64 // JIT epoch of the last full-cache sweep
 
-	rec       recorder
-	capturing bool
-	curKey    key
+	// The capture in flight: its key, and the call site's function,
+	// which is a dependency iff the call context is non-zero.
+	rec          recorder
+	capturing    bool
+	curKey       key
+	curCaller    bytecode.FuncID
+	curViaCaller bool
 
-	localHits, localMisses uint64
-	cHits, cMisses         *telemetry.Counter
-	gEntries               *telemetry.Gauge
+	localHits, localMisses, localStale uint64
+	cHits, cMisses, cStale             *telemetry.Counter
+	gEntries                           *telemetry.Gauge
 }
 
 // NewCache builds a replay cache for one server.
@@ -150,6 +172,7 @@ func NewCache(cfg Config) *Cache {
 	c.rec.counts = make([]uint32, cfg.NumFuncs)
 	c.cHits = cfg.Tel.Counter("replay.hits_total")
 	c.cMisses = cfg.Tel.Counter("replay.misses_total")
+	c.cStale = cfg.Tel.Counter("replay.stale_total")
 	c.gEntries = cfg.Tel.Gauge("replay.entries")
 	return c
 }
@@ -160,23 +183,57 @@ func (c *Cache) Hits() uint64 { return c.localHits }
 // Misses returns the number of lookups that had to execute for real.
 func (c *Cache) Misses() uint64 { return c.localMisses }
 
+// Stale returns the number of entries dropped because a function they
+// depended on changed translation after they were captured.
+func (c *Cache) Stale() uint64 { return c.localStale }
+
 // Entries returns the live entry count.
 func (c *Cache) Entries() int { return len(c.entries) }
 
-// syncEpoch drops every entry when the JIT layout epoch has moved.
-// The map's buckets are retained, so steady-state operation allocates
-// nothing here.
-func (c *Cache) syncEpoch() {
-	e := c.cfg.JIT.Epoch()
-	if e == c.epoch {
+// stale reports whether some function e depends on has changed its
+// active translation since e was captured.
+func (c *Cache) stale(e *Entry) bool {
+	j := c.cfg.JIT
+	if e.ViaCaller && j.ChangedAt(e.Caller) > e.Epoch {
+		return true
+	}
+	for _, en := range e.Enters {
+		if j.ChangedAt(en.ID) > e.Epoch {
+			return true
+		}
+	}
+	return false
+}
+
+// dropStale deletes a stale entry, returning its capacity.
+func (c *Cache) dropStale(k key, e *Entry) {
+	delete(c.entries, k)
+	c.totalEvents -= len(e.Events)
+	c.localStale++
+	c.cStale.Inc()
+	c.gEntries.Set(float64(len(c.entries)))
+}
+
+// full reports whether a new key has no room.
+func (c *Cache) full() bool {
+	return len(c.entries) >= c.cfg.MaxEntries || c.totalEvents >= c.cfg.MaxEvents
+}
+
+// sweep drops every stale entry, at most once per JIT epoch: a key
+// that is never looked up again would otherwise pin its capacity for
+// good, and point C of a cold boot stales nearly the whole cache at
+// once. Which entries go does not depend on map order.
+func (c *Cache) sweep() {
+	epoch := c.cfg.JIT.Epoch()
+	if epoch == c.swept {
 		return
 	}
-	c.epoch = e
-	for k := range c.entries {
-		delete(c.entries, k)
+	c.swept = epoch
+	for k, e := range c.entries {
+		if c.stale(e) {
+			c.dropStale(k, e)
+		}
 	}
-	c.totalEvents = 0
-	c.gEntries.Set(0)
 }
 
 // makeKey builds the lookup key, rejecting calls whose arguments
@@ -233,7 +290,6 @@ func (c *Cache) TryReplay(caller, callee *bytecode.Function, pc int,
 		// recorder sees their charges. Not counted as a miss.
 		return value.Null, 0, false
 	}
-	c.syncEpoch()
 	rt := c.cfg.Runtime
 	k, ok := c.makeKey(callee, rt.CallContext(pc), args)
 	if !ok {
@@ -241,6 +297,10 @@ func (c *Cache) TryReplay(caller, callee *bytecode.Function, pc int,
 	}
 	e := c.entries[k]
 	if e == nil {
+		return c.miss()
+	}
+	if c.stale(e) {
+		c.dropStale(k, e)
 		return c.miss()
 	}
 	micro := rt.MicroOn()
@@ -256,8 +316,8 @@ func (c *Cache) TryReplay(caller, callee *bytecode.Function, pc int,
 	}
 	if !c.cfg.CanReplay(e.Enters) {
 		// A call-count bump would cross a JIT trigger: the real
-		// execution compiles mid-request. Execute it for real (which
-		// also bumps the epoch, invalidating this entry).
+		// execution compiles mid-request. Execute it for real (the
+		// compile stamps the function, which stales this entry).
 		return c.miss()
 	}
 	// Committed. Feed the recorded event stream through the live
@@ -292,15 +352,21 @@ func (c *Cache) BeginCapture(caller, callee *bytecode.Function, pc int,
 	if c.capturing {
 		return false
 	}
-	if len(c.entries) >= c.cfg.MaxEntries || c.totalEvents >= c.cfg.MaxEvents {
-		return false
-	}
 	rt := c.cfg.Runtime
-	k, ok := c.makeKey(callee, rt.CallContext(pc), args)
+	ctx := rt.CallContext(pc)
+	k, ok := c.makeKey(callee, ctx, args)
 	if !ok {
 		return false
 	}
+	// A key already present is a refresh (its entry lacks the event
+	// stream this request needs) and takes no new slot.
+	if c.full() && c.entries[k] == nil {
+		if c.sweep(); c.full() {
+			return false
+		}
+	}
 	c.curKey = k
+	c.curCaller, c.curViaCaller = caller.ID, ctx != 0
 	c.capturing = true
 	c.rec.reset(c.cfg.Heap.Next(), c.cfg.Heap.Allocations(), c.cfg.JIT.Epoch(), rt.MicroOn())
 	rt.SetRecorder(&c.rec)
@@ -324,7 +390,11 @@ func (c *Cache) EndCapture(steps int64, ret value.Value, err error) {
 	case value.KindArr, value.KindObj:
 		return
 	}
-	if c.totalEvents+len(r.events) > c.cfg.MaxEvents {
+	events := c.totalEvents + len(r.events)
+	if old := c.entries[c.curKey]; old != nil {
+		events -= len(old.Events)
+	}
+	if events > c.cfg.MaxEvents {
 		return
 	}
 	e := &Entry{
@@ -337,6 +407,9 @@ func (c *Cache) EndCapture(steps int64, ret value.Value, err error) {
 		AllocBytes:   c.cfg.Heap.Next() - r.heapBase,
 		AllocObjects: c.cfg.Heap.Allocations() - r.objects0,
 		Enters:       make([]FnCount, 0, len(r.touched)),
+		Epoch:        r.epoch0,
+		Caller:       c.curCaller,
+		ViaCaller:    c.curViaCaller,
 	}
 	if len(r.events) > 0 {
 		e.Events = append([]microarch.Access(nil), r.events...)
@@ -344,11 +417,8 @@ func (c *Cache) EndCapture(steps int64, ret value.Value, err error) {
 	for _, id := range r.touched {
 		e.Enters = append(e.Enters, FnCount{ID: id, Count: r.counts[id]})
 	}
-	if old := c.entries[c.curKey]; old != nil {
-		c.totalEvents -= len(old.Events)
-	}
 	c.entries[c.curKey] = e
-	c.totalEvents += len(e.Events)
+	c.totalEvents = events
 	c.gEntries.Set(float64(len(c.entries)))
 }
 

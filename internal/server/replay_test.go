@@ -1,39 +1,69 @@
 package server
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"jumpstart/internal/microarch"
 	"jumpstart/internal/prof"
+	"jumpstart/internal/replay"
 )
 
-// runSeries boots a server, runs the warmup window, then a steady
-// measurement, returning everything observable: the tick series, the
-// steady stats, and cumulative counters. Any divergence between
-// replay-cache on and off must show up here.
-func runSeries(t *testing.T, mode Mode, replayOn bool) ([]TickStats, SteadyStats, float64, *Server) {
+// replayVariant is one server flavour the replay cache must be
+// invisible in.
+type replayVariant struct {
+	name     string
+	mode     Mode
+	lazy     bool
+	instrOpt bool // seeder: instrumented optimized code
+}
+
+// instrumentedSeeder is the production seeder; its package boots the
+// consumer variants.
+var instrumentedSeeder = replayVariant{name: "seeder", mode: ModeSeeder, instrOpt: true}
+
+var replayVariants = []replayVariant{
+	{name: "no-jumpstart", mode: ModeNoJumpStart},
+	instrumentedSeeder,
+	{name: "seeder-uninstrumented", mode: ModeSeeder},
+	{name: "consumer", mode: ModeConsumer},
+	{name: "consumer-lazy", mode: ModeConsumer, lazy: true},
+}
+
+// series is everything observable about one run: the tick series, the
+// steady stats, cumulative counters and (seeder) the package bytes.
+// Any divergence between replay-cache on and off must show up here.
+type series struct {
+	ticks  []TickStats
+	steady SteadyStats
+	total  float64
+	mem    microarch.Stats
+	pkg    []byte
+	cache  *replay.Cache
+}
+
+// seederSeries memoizes the instrumented seeder's run per cache
+// setting: it is both a variant under test and the source of the
+// package the consumer variants boot from.
+var seederSeries = map[bool]*series{}
+
+// runSeries boots a server of the given variant, runs the warmup
+// window, then (unless the seeder has exited) a steady measurement.
+func runSeries(t *testing.T, v replayVariant, replayOn bool) *series {
 	t.Helper()
+	if v.instrOpt {
+		if r := seederSeries[replayOn]; r != nil {
+			return r
+		}
+	}
 	site := testSite(t)
-	cfg := testConfig(mode)
+	cfg := testConfig(v.mode)
 	cfg.ReplayCache = replayOn
-	var pkg []byte
-	if mode == ModeConsumer {
-		scfg := testConfig(ModeSeeder)
-		scfg.JITOpts.InstrumentOptimized = true
-		scfg.ReplayCache = replayOn
-		seeder, err := New(site, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := seeder.WarmToServing(7200); err != nil {
-			t.Fatal(err)
-		}
-		p, ok := seeder.SeederPackage()
-		if !ok {
-			t.Fatal("no seeder package")
-		}
-		pkg = p.Encode()
-		dec, err := prof.Decode(pkg)
+	cfg.JITOpts.InstrumentOptimized = v.instrOpt
+	cfg.LazyWarmup = v.lazy
+	if v.mode == ModeConsumer {
+		dec, err := prof.Decode(runSeries(t, instrumentedSeeder, replayOn).pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,46 +74,71 @@ func runSeries(t *testing.T, mode Mode, replayOn bool) ([]TickStats, SteadyStats
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := s.Run(400)
-	steady := s.MeasureSteady(200)
-	return ticks, steady, s.TotalCycles(), s
+	r := &series{ticks: s.Run(400), cache: s.ReplayCache()}
+	if v.mode == ModeSeeder {
+		p, ok := s.SeederPackage()
+		if !ok {
+			t.Fatal("no seeder package")
+		}
+		r.pkg = p.Encode()
+		if v.instrOpt {
+			seederSeries[replayOn] = r
+		}
+	} else {
+		r.steady = s.MeasureSteady(200)
+	}
+	r.total, r.mem = s.TotalCycles(), s.Mem().Stats()
+	return r
 }
 
 // TestReplayCacheDeterminism pins the tentpole's correctness contract:
 // every simulation observable — the full tick series, steady-state
-// stats including micro-architectural miss counts, and total charged
-// cycles — is byte-identical with the replay cache on and off. The
-// cache is purely a host-side speedup.
+// stats including micro-architectural miss counts, total charged
+// cycles and the seeder's package — is byte-identical with the replay
+// cache on and off, in every server flavour. The cache is purely a
+// host-side speedup.
 func TestReplayCacheDeterminism(t *testing.T) {
-	for _, mode := range []Mode{ModeNoJumpStart, ModeConsumer} {
-		t.Run(mode.String(), func(t *testing.T) {
-			onTicks, onSteady, onTotal, onSrv := runSeries(t, mode, true)
-			offTicks, offSteady, offTotal, _ := runSeries(t, mode, false)
-			if !reflect.DeepEqual(onTicks, offTicks) {
-				for i := range onTicks {
-					if !reflect.DeepEqual(onTicks[i], offTicks[i]) {
+	for _, v := range replayVariants {
+		t.Run(v.name, func(t *testing.T) {
+			on, off := runSeries(t, v, true), runSeries(t, v, false)
+			if !reflect.DeepEqual(on.ticks, off.ticks) {
+				for i := range on.ticks {
+					if !reflect.DeepEqual(on.ticks[i], off.ticks[i]) {
 						t.Fatalf("tick %d diverged:\n on: %+v\noff: %+v",
-							i, onTicks[i], offTicks[i])
+							i, on.ticks[i], off.ticks[i])
 					}
 				}
 				t.Fatal("tick series diverged")
 			}
-			if !reflect.DeepEqual(onSteady, offSteady) {
+			if !reflect.DeepEqual(on.steady, off.steady) {
 				t.Fatalf("steady stats diverged:\n on: %+v\noff: %+v",
-					onSteady, offSteady)
+					on.steady, off.steady)
 			}
-			if onTotal != offTotal {
-				t.Fatalf("total cycles diverged: on %v off %v", onTotal, offTotal)
+			if on.total != off.total {
+				t.Fatalf("total cycles diverged: on %v off %v", on.total, off.total)
 			}
-			c := onSrv.ReplayCache()
+			if on.mem != off.mem {
+				t.Fatalf("memory stats diverged:\n on: %+v\noff: %+v", on.mem, off.mem)
+			}
+			if !bytes.Equal(on.pkg, off.pkg) {
+				t.Fatalf("seeder packages diverged: %d vs %d bytes", len(on.pkg), len(off.pkg))
+			}
+			c := on.cache
 			if c == nil {
 				t.Fatal("replay cache not installed")
 			}
-			if c.Hits() == 0 {
+			// The instrumented seeder runs counter-carrying code from
+			// its first compile to its exit, which poisons every
+			// capture: it has nothing to hit, and what the variant
+			// pins is that this holds.
+			if c.Hits() == 0 && !v.instrOpt {
 				t.Fatal("replay cache never hit; determinism check is vacuous")
 			}
-			t.Logf("mode %s: %d hits, %d misses, %d entries",
-				mode, c.Hits(), c.Misses(), c.Entries())
+			if c.Misses() == 0 {
+				t.Fatal("replay cache never consulted")
+			}
+			t.Logf("%s: %d hits, %d misses, %d stale, %d entries",
+				v.name, c.Hits(), c.Misses(), c.Stale(), c.Entries())
 		})
 	}
 }
@@ -131,8 +186,10 @@ func TestSteadyRequestAllocRegression(t *testing.T) {
 	}
 }
 
-// TestReplayCacheInvalidation checks the epoch rule: once entries
-// exist, any new translation placement drops them all.
+// TestReplayCacheInvalidation checks the invalidation rule at server
+// scale: a compile drops the entries that depend on the compiled
+// function — and only those. (The rule itself, dependency by
+// dependency, is pinned on a tiny program in internal/replay.)
 func TestReplayCacheInvalidation(t *testing.T) {
 	site := testSite(t)
 	cfg := testConfig(ModeNoJumpStart)
@@ -145,20 +202,42 @@ func TestReplayCacheInvalidation(t *testing.T) {
 	}
 	s.MeasureSteady(100)
 	c := s.ReplayCache()
-	if c.Entries() == 0 {
+	before := c.Entries()
+	if before == 0 {
 		t.Fatal("no entries captured during steady measurement")
 	}
-	// Any compilation bumps the layout epoch; the next cache operation
-	// must observe it and drop every entry.
-	fn := site.Endpoints[0].Fn
-	if _, err := s.JIT().CompileLive(fn); err != nil {
+	// An endpoint is only ever entered at the top of a request, so no
+	// entry's subtree contains it: recompiling one leaves standing
+	// everything but the entries charged through its old translation.
+	stale0 := c.Stale()
+	if _, err := s.JIT().CompileLive(site.Endpoints[0].Fn); err != nil {
 		t.Skipf("code cache full, cannot force a placement: %v", err)
 	}
 	s.MeasureSteady(1)
-	if got := c.Entries(); got != 0 && uint64(got) > c.Hits() {
-		// After the flush the single measured request may legitimately
-		// recapture a handful of entries; what must NOT survive is the
-		// pre-flush population.
-		t.Fatalf("entries survived an epoch bump: %d", got)
+	dropped := int(c.Stale() - stale0)
+	t.Logf("%d entries, %d dropped by the endpoint's recompile, %d after", before, dropped, c.Entries())
+	if got := c.Entries(); got < before-dropped {
+		t.Fatalf("%d of %d entries left after %d stale drops: entries vanished "+
+			"without a changed dependency", got, before, dropped)
+	}
+	if dropped > before/2 {
+		t.Fatalf("one endpoint's recompile dropped %d of %d entries", dropped, before)
+	}
+
+	// Re-activating a function stamps it without changing what runs.
+	// Some function must be one that captured subtrees entered, and
+	// stamping it must cost exactly those entries their next lookup.
+	hit := false
+	for _, fn := range site.Prog.Funcs {
+		stale0 = c.Stale()
+		s.JIT().SetActive(fn.ID, s.JIT().Active(fn.ID))
+		s.MeasureSteady(1)
+		if c.Stale() > stale0 {
+			hit = true
+			break
+		}
+	}
+	if !hit {
+		t.Fatal("no function's change ever staled an entry")
 	}
 }
