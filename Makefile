@@ -31,9 +31,10 @@ bench:
 	bash bench/run.sh
 
 # Allocation regressions: the interpreter hot path must stay at zero
-# machinery allocations, the steady-state request path under its
-# per-request ceiling, and the store's crash-retry pick path (exclusion
-# lists in force) at zero allocations.
+# machinery allocations, a presized packed array at two (header +
+# values), the steady-state request path under its per-request
+# ceiling, and the store's crash-retry pick path (exclusion lists in
+# force) at zero allocations.
 alloccheck:
 	$(GO) test -count=1 -v -run 'AllocFree|AllocRegression|TestStreamAllocFree' \
 		./internal/interp/ ./internal/microarch/ ./internal/server/ \
@@ -52,6 +53,7 @@ verify:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFetchHostileConn$$' -fuzztime 10s ./internal/jumpstart/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayInvalidation$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzArrayOps$$' -fuzztime 10s ./internal/value/
 
 # The *sweep targets below are developer shortcuts, not CI steps: each
 # re-runs, verbosely and under -race, a subset of what `verify` just

@@ -3,6 +3,7 @@ package interp
 import (
 	"testing"
 
+	"jumpstart/internal/bytecode"
 	"jumpstart/internal/hackc"
 	"jumpstart/internal/object"
 	"jumpstart/internal/value"
@@ -69,8 +70,69 @@ fun entry(a) {
 	}
 }
 
+// TestPackedArrayAllocFree pins the packed array layout on the
+// interpreter path. Building a presized list — a literal (OpNewVec) or
+// keys(), which appends into an array sized up front — takes exactly
+// two allocations: the array header and one values buffer. Indexing
+// and foreach over a packed array allocate nothing.
+func TestPackedArrayAllocFree(t *testing.T) {
+	src := `
+fun build(a) { return [a, a + 1, a + 2, a + 3, a + 4, a + 5, a + 6, a + 7]; }
+fun ks(xs) { return keys(xs); }
+fun read(xs) {
+  s = 0;
+  foreach (xs as k => x) { s += x * xs[k]; }
+  return s;
+}
+`
+	prog, err := hackc.CompileSources(
+		map[string]string{"m.mh": src}, []string{"m.mh"}, hackc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := object.NewRegistry(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := New(prog, reg, Config{})
+	fns := map[string]*bytecode.Function{}
+	for _, name := range []string{"build", "ks", "read"} {
+		fn, ok := prog.FuncByName(name)
+		if !ok {
+			t.Fatalf("no %s", name)
+		}
+		fns[name] = fn
+	}
+	xs, err := ip.Call(fns["build"], value.Int(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		fn   string
+		arg  value.Value
+		want float64
+	}{
+		{"build", value.Int(3), 2},
+		{"ks", xs, 2},
+		{"read", xs, 0},
+	}
+	for _, c := range cases {
+		if _, err := ip.Call(fns[c.fn], c.arg); err != nil { // warm the frame pool
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := ip.Call(fns[c.fn], c.arg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %v allocs per call, want %v", c.fn, got, c.want)
+		}
+	}
+}
+
 // TestIterReuseAllocFree pins iterator-state reuse: a foreach over an
-// existing array reuses the pooled entries buffer after the first
+// existing array reuses the pooled snapshot buffer after the first
 // pass. (The array built inside the loop body is program data and is
 // excluded by constructing it once up front.)
 func TestIterReuseAllocFree(t *testing.T) {

@@ -62,9 +62,10 @@ func (ip *Interp) builtin(b bytecode.Builtin, args []value.Value) (value.Value, 
 		if args[0].Kind() != value.KindArr {
 			return value.Null, builtinError(b, "wants array, got %s", args[0].Kind())
 		}
-		out := value.NewArray(args[0].AsArr().Len())
-		for _, k := range args[0].AsArr().Keys() {
-			out.Append(k)
+		arr := args[0].AsArr()
+		out := value.NewArray(arr.Len())
+		for i := 0; i < arr.Len(); i++ {
+			out.Append(arr.At(i).Key())
 		}
 		return value.Arr(out), nil
 
@@ -75,9 +76,10 @@ func (ip *Interp) builtin(b bytecode.Builtin, args []value.Value) (value.Value, 
 		if args[0].Kind() != value.KindArr {
 			return value.Null, builtinError(b, "wants array, got %s", args[0].Kind())
 		}
-		out := value.NewArray(args[0].AsArr().Len())
-		for _, v := range args[0].AsArr().Values() {
-			out.Append(v)
+		arr := args[0].AsArr()
+		out := value.NewArray(arr.Len())
+		for i := 0; i < arr.Len(); i++ {
+			out.Append(arr.At(i).Val)
 		}
 		return value.Arr(out), nil
 

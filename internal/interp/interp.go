@@ -198,9 +198,12 @@ func (ip *Interp) fault(fn *bytecode.Function, pc int, format string, args ...in
 	}
 }
 
+// iterState is one foreach's snapshot of its array. keys stays empty
+// for a packed array, whose key is the position.
 type iterState struct {
-	entries []value.Entry
-	idx     int
+	vals []value.Value
+	keys []value.Value
+	idx  int
 }
 
 // call runs one activation of fn. this is nil for free functions.
@@ -604,18 +607,19 @@ func (ip *Interp) call(fn *bytecode.Function, this *object.Object, args []value.
 				return value.Null, ip.fault(fn, pc, "foreach over %s", seq.Kind())
 			}
 			arr := seq.AsArr()
-			cnt := arr.Len()
 			it := &iters[in.A]
-			if cap(it.entries) < cnt {
-				it.entries = make([]value.Entry, cnt)
+			it.idx, it.keys = 0, it.keys[:0]
+			if vs, ok := arr.Packed(); ok {
+				it.vals = append(it.vals[:0], vs...)
 			} else {
-				it.entries = it.entries[:cnt]
+				it.vals = it.vals[:0]
+				for i := 0; i < arr.Len(); i++ {
+					e := arr.At(i)
+					it.vals = append(it.vals, e.Val)
+					it.keys = append(it.keys, e.Key())
+				}
 			}
-			for i := 0; i < cnt; i++ {
-				it.entries[i] = arr.At(i)
-			}
-			it.idx = 0
-			if cnt == 0 {
+			if len(it.vals) == 0 {
 				pc = int(in.B)
 				continue
 			}
@@ -623,23 +627,23 @@ func (ip *Interp) call(fn *bytecode.Function, this *object.Object, args []value.
 		case bytecode.OpIterNext:
 			it := &iters[in.A]
 			it.idx++
-			if it.idx < len(it.entries) {
+			if it.idx < len(it.vals) {
 				pc = int(in.B)
 				continue
 			}
-			it.entries = it.entries[:0] // done; keep backing for reuse
+			// done; keep the backing arrays for reuse
+			it.vals, it.keys = it.vals[:0], it.keys[:0]
 
 		case bytecode.OpIterKey:
 			it := &iters[in.A]
-			e := it.entries[it.idx]
-			if e.IsStr {
-				fr.push(value.Str(e.StrKey))
+			if len(it.keys) == 0 {
+				fr.push(value.Int(int64(it.idx)))
 			} else {
-				fr.push(value.Int(e.IntKey))
+				fr.push(it.keys[it.idx])
 			}
 
 		case bytecode.OpIterVal:
-			fr.push(iters[in.A].entries[iters[in.A].idx].Val)
+			fr.push(iters[in.A].vals[iters[in.A].idx])
 
 		default:
 			return value.Null, ip.fault(fn, pc, "unimplemented opcode %v", in.Op)

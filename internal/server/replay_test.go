@@ -181,8 +181,8 @@ func TestSteadyRequestAllocRegression(t *testing.T) {
 	// Regression ceiling: the interpreter rewrite took the machinery to
 	// zero; only workload value allocations remain. A jump past this
 	// bound means per-request garbage crept back into the harness.
-	if off > 40 {
-		t.Fatalf("per-request allocations regressed: %.1f > 40", off)
+	if off > 20 {
+		t.Fatalf("per-request allocations regressed: %.1f > 20", off)
 	}
 }
 

@@ -1,9 +1,11 @@
 package value
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Array is a PHP-style ordered map. Keys are either int64 or string;
@@ -15,11 +17,32 @@ import (
 // MiniHack deliberately uses reference semantics, which is what Hack's
 // vec/dict migration pushed toward and what keeps the interpreter and
 // the simulated JIT agreeing on aliasing.)
+//
+// Like HHVM's packed and mixed array kinds, an Array has two layouts
+// behind one API, chosen only by the keys it has seen:
+//
+//   - packed (m == nil): the keys are exactly 0..Len()-1 in insertion
+//     order and the next append key is Len(), so only the values are
+//     stored, 32 bytes per slot with no index;
+//   - mixed (m != nil): an entry list plus a key → position map. An
+//     array turns mixed for good at the first key that breaks the
+//     packed shape — a string key, a negative key, a key past the end,
+//     or a Delete of a present key — and packed again only when
+//     SortByValue renumbers it 0..n-1.
+//
+// Every observable (At, Keys, Values, String, iteration order, the
+// next append key) is the same in both layouts.
 type Array struct {
+	vals []Value // the packed layout: vals[i] is keyed i
+	m    *mixed  // the mixed layout; nil while packed
+	hint int     // capacity for the first buffer, which waits for the first key
+}
+
+// mixed is the hashed layout of an Array.
+type mixed struct {
 	entries []Entry
 	index   map[arrayKey]int // key -> position in entries
 	nextInt int64            // next auto-increment integer key
-	id      uint64           // data-address simulation id
 }
 
 // Entry is one key/value pair of an Array.
@@ -30,51 +53,70 @@ type Entry struct {
 	Val    Value
 }
 
+// Key returns the entry's key as a Value.
+func (e Entry) Key() Value {
+	if e.IsStr {
+		return Str(e.StrKey)
+	}
+	return Int(e.IntKey)
+}
+
 type arrayKey struct {
 	i int64
 	s string
 	b bool
 }
 
-// arrayIDCounter is process-global, so it is drawn atomically: servers
-// on different goroutines allocate concurrently under the parallel
-// experiment engine. The id only needs to be unique — nothing measured
-// depends on its value — so cross-server interleaving does not
-// perturb simulation output.
-var arrayIDCounter atomic.Uint64
-
-// NewArray returns an empty array with capacity for n entries.
-func NewArray(n int) *Array {
-	return &Array{
-		entries: make([]Entry, 0, n),
-		index:   make(map[arrayKey]int, n),
-		id:      arrayIDCounter.Add(1),
-	}
-}
-
-// ArrayID returns the array's process-unique allocation id.
-func (a *Array) ArrayID() uint64 { return a.id }
+// NewArray returns an empty array with capacity for n entries. The
+// buffer is allocated at the first insert, in the layout that key
+// calls for.
+func NewArray(n int) *Array { return &Array{hint: n} }
 
 // Len returns the number of entries.
-func (a *Array) Len() int { return len(a.entries) }
+func (a *Array) Len() int {
+	if a.m != nil {
+		return len(a.m.entries)
+	}
+	return len(a.vals)
+}
+
+// Packed returns the values of a packed array — keyed 0..Len()-1 in
+// order — and true, or nil and false for a mixed array. The slice is
+// the array's own storage: read it, do not keep or modify it.
+func (a *Array) Packed() ([]Value, bool) {
+	if a.m != nil {
+		return nil, false
+	}
+	return a.vals, true
+}
 
 // Append adds v under the next auto-increment integer key.
 func (a *Array) Append(v Value) {
-	a.SetInt(a.nextInt, v)
+	if a.m != nil {
+		a.m.set(arrayKey{i: a.m.nextInt}, v)
+		return
+	}
+	if a.vals == nil && a.hint > 0 {
+		a.vals = make([]Value, 0, a.hint)
+	}
+	a.vals = append(a.vals, v)
 }
 
 // SetInt sets the entry with integer key k.
 func (a *Array) SetInt(k int64, v Value) {
-	key := arrayKey{i: k}
-	if pos, ok := a.index[key]; ok {
-		a.entries[pos].Val = v
-		return
+	if a.m == nil {
+		n := int64(len(a.vals))
+		switch {
+		case 0 <= k && k < n:
+			a.vals[k] = v
+			return
+		case k == n:
+			a.Append(v)
+			return
+		}
+		a.toMixed()
 	}
-	a.index[key] = len(a.entries)
-	a.entries = append(a.entries, Entry{IntKey: k, Val: v})
-	if k >= a.nextInt {
-		a.nextInt = k + 1
-	}
+	a.m.set(arrayKey{i: k}, v)
 }
 
 // SetStr sets the entry with string key k. Numeric string keys are
@@ -84,13 +126,10 @@ func (a *Array) SetStr(k string, v Value) {
 		a.SetInt(ik, v)
 		return
 	}
-	key := arrayKey{s: k, b: true}
-	if pos, ok := a.index[key]; ok {
-		a.entries[pos].Val = v
-		return
+	if a.m == nil {
+		a.toMixed()
 	}
-	a.index[key] = len(a.entries)
-	a.entries = append(a.entries, Entry{StrKey: k, IsStr: true, Val: v})
+	a.m.set(arrayKey{s: k, b: true}, v)
 }
 
 // Set sets the entry keyed by an arbitrary Value, coercing the key the
@@ -106,11 +145,13 @@ func (a *Array) Set(k, v Value) {
 
 // GetInt fetches the entry with integer key k.
 func (a *Array) GetInt(k int64) (Value, bool) {
-	pos, ok := a.index[arrayKey{i: k}]
-	if !ok {
+	if a.m == nil {
+		if 0 <= k && k < int64(len(a.vals)) {
+			return a.vals[k], true
+		}
 		return Null, false
 	}
-	return a.entries[pos].Val, true
+	return a.m.get(arrayKey{i: k})
 }
 
 // GetStr fetches the entry with string key k.
@@ -118,11 +159,10 @@ func (a *Array) GetStr(k string) (Value, bool) {
 	if ik, ok := canonicalIntKey(k); ok {
 		return a.GetInt(ik)
 	}
-	pos, ok := a.index[arrayKey{s: k, b: true}]
-	if !ok {
+	if a.m == nil {
 		return Null, false
 	}
-	return a.entries[pos].Val, true
+	return a.m.get(arrayKey{s: k, b: true})
 }
 
 // Get fetches the entry keyed by an arbitrary Value.
@@ -136,7 +176,8 @@ func (a *Array) Get(k Value) (Value, bool) {
 }
 
 // Delete removes the entry keyed by k, preserving the order of the
-// remaining entries. It reports whether an entry was removed.
+// remaining entries and the next append key. It reports whether an
+// entry was removed.
 func (a *Array) Delete(k Value) bool {
 	var key arrayKey
 	switch k.Kind() {
@@ -149,86 +190,86 @@ func (a *Array) Delete(k Value) bool {
 	default:
 		key = arrayKey{i: k.ToInt()}
 	}
-	pos, ok := a.index[key]
+	if a.m == nil {
+		if key.b || key.i < 0 || key.i >= int64(len(a.vals)) {
+			return false
+		}
+		a.toMixed()
+	}
+	m := a.m
+	pos, ok := m.index[key]
 	if !ok {
 		return false
 	}
-	delete(a.index, key)
-	a.entries = append(a.entries[:pos], a.entries[pos+1:]...)
-	for i := pos; i < len(a.entries); i++ {
-		e := &a.entries[i]
+	delete(m.index, key)
+	m.entries = append(m.entries[:pos], m.entries[pos+1:]...)
+	for i := pos; i < len(m.entries); i++ {
+		e := &m.entries[i]
 		if e.IsStr {
-			a.index[arrayKey{s: e.StrKey, b: true}] = i
+			m.index[arrayKey{s: e.StrKey, b: true}] = i
 		} else {
-			a.index[arrayKey{i: e.IntKey}] = i
+			m.index[arrayKey{i: e.IntKey}] = i
 		}
 	}
 	return true
 }
 
 // At returns the i-th entry in insertion order.
-func (a *Array) At(i int) Entry { return a.entries[i] }
+func (a *Array) At(i int) Entry {
+	if a.m != nil {
+		return a.m.entries[i]
+	}
+	return Entry{IntKey: int64(i), Val: a.vals[i]}
+}
 
 // Keys returns the keys in insertion order as Values.
 func (a *Array) Keys() []Value {
-	ks := make([]Value, len(a.entries))
-	for i, e := range a.entries {
-		if e.IsStr {
-			ks[i] = Str(e.StrKey)
-		} else {
-			ks[i] = Int(e.IntKey)
-		}
+	ks := make([]Value, a.Len())
+	for i := range ks {
+		ks[i] = a.At(i).Key()
 	}
 	return ks
 }
 
 // Values returns the values in insertion order.
 func (a *Array) Values() []Value {
-	vs := make([]Value, len(a.entries))
-	for i, e := range a.entries {
-		vs[i] = e.Val
+	vs := make([]Value, a.Len())
+	for i := range vs {
+		vs[i] = a.At(i).Val
 	}
 	return vs
 }
 
 // Clone returns a shallow copy of the array.
 func (a *Array) Clone() *Array {
-	c := NewArray(len(a.entries))
-	c.entries = append(c.entries, a.entries...)
-	for k, v := range a.index {
-		c.index[k] = v
+	if a.m == nil {
+		return &Array{vals: slices.Clone(a.vals)}
 	}
-	c.nextInt = a.nextInt
-	return c
+	return &Array{m: &mixed{
+		entries: slices.Clone(a.m.entries),
+		index:   maps.Clone(a.m.index),
+		nextInt: a.m.nextInt,
+	}}
 }
 
 // SortByValue sorts entries by their values using the Compare ordering,
 // reassigning positions (PHP sort()). Keys are discarded and the array
-// is re-indexed 0..n-1.
+// is re-indexed 0..n-1, which makes it packed.
 func (a *Array) SortByValue() {
-	sort.SliceStable(a.entries, func(i, j int) bool {
-		return Compare(a.entries[i].Val, a.entries[j].Val) < 0
-	})
-	a.reindex()
-}
-
-func (a *Array) reindex() {
-	a.index = make(map[arrayKey]int, len(a.entries))
-	a.nextInt = 0
-	for i := range a.entries {
-		a.entries[i].IsStr = false
-		a.entries[i].StrKey = ""
-		a.entries[i].IntKey = a.nextInt
-		a.index[arrayKey{i: a.nextInt}] = i
-		a.nextInt++
+	if a.m != nil {
+		a.vals, a.m = a.Values(), nil
 	}
+	sort.SliceStable(a.vals, func(i, j int) bool {
+		return Compare(a.vals[i], a.vals[j]) < 0
+	})
 }
 
 // String renders the array for debugging: [k => v, ...].
 func (a *Array) String() string {
 	var b strings.Builder
 	b.WriteByte('[')
-	for i, e := range a.entries {
+	for i := 0; i < a.Len(); i++ {
+		e := a.At(i)
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -244,36 +285,73 @@ func (a *Array) String() string {
 	return b.String()
 }
 
+// toMixed moves a packed array to the mixed layout, with room for one
+// entry more than it holds: an insert is what usually triggers it.
+func (a *Array) toMixed() {
+	n := len(a.vals)
+	size := max(n+1, a.hint)
+	m := &mixed{
+		entries: make([]Entry, n, size),
+		index:   make(map[arrayKey]int, size),
+		nextInt: int64(n),
+	}
+	for i, v := range a.vals {
+		m.entries[i] = Entry{IntKey: int64(i), Val: v}
+		m.index[arrayKey{i: int64(i)}] = i
+	}
+	a.vals, a.m = nil, m
+}
+
+func (m *mixed) get(key arrayKey) (Value, bool) {
+	pos, ok := m.index[key]
+	if !ok {
+		return Null, false
+	}
+	return m.entries[pos].Val, true
+}
+
+func (m *mixed) set(key arrayKey, v Value) {
+	if pos, ok := m.index[key]; ok {
+		m.entries[pos].Val = v
+		return
+	}
+	m.index[key] = len(m.entries)
+	if key.b {
+		m.entries = append(m.entries, Entry{StrKey: key.s, IsStr: true, Val: v})
+		return
+	}
+	m.entries = append(m.entries, Entry{IntKey: key.i, Val: v})
+	if key.i >= m.nextInt {
+		m.nextInt = key.i + 1
+	}
+}
+
 // canonicalIntKey reports whether s is a canonical integer key ("0",
-// "-7", "42" but not "007" or "1.5") and returns its value.
+// "-7", "42" but not "007", "-0" or "1.5") in int64 range and returns
+// its value.
 func canonicalIntKey(s string) (int64, bool) {
-	if s == "" {
-		return 0, false
+	digits := strings.TrimPrefix(s, "-")
+	neg := len(digits) < len(s)
+	if digits == "" || (digits[0] == '0' && (len(digits) > 1 || neg)) {
+		return 0, false // empty, a leading zero, or "-0": not canonical
 	}
-	i := 0
-	neg := false
-	if s[0] == '-' {
-		neg = true
-		i = 1
-		if i == len(s) {
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++ // -9223372036854775808 is in range
+	}
+	var n uint64
+	for i := 0; i < len(digits); i++ {
+		d := digits[i]
+		if d < '0' || d > '9' {
 			return 0, false
 		}
-	}
-	if s[i] == '0' && len(s) > i+1 {
-		return 0, false // leading zero: not canonical
-	}
-	var n int64
-	for ; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(s[i]-'0')
-		if n < 0 {
+		if n > (limit-uint64(d-'0'))/10 {
 			return 0, false // overflow
 		}
+		n = n*10 + uint64(d-'0')
 	}
 	if neg {
-		n = -n
+		return int64(-n), true
 	}
-	return n, true
+	return int64(n), true
 }

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -164,13 +165,6 @@ func TestArrayString(t *testing.T) {
 	}
 }
 
-func TestArrayIDsUnique(t *testing.T) {
-	a, b := NewArray(0), NewArray(0)
-	if a.ArrayID() == b.ArrayID() {
-		t.Fatal("array ids must be unique")
-	}
-}
-
 func TestCanonicalIntKey(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -181,6 +175,14 @@ func TestCanonicalIntKey(t *testing.T) {
 		{"42", 42, true}, {"007", 0, false}, {"", 0, false},
 		{"-", 0, false}, {"1.5", 0, false}, {"+1", 0, false},
 		{"99999999999999999999999", 0, false},
+		// 2^64+10 wraps to 10 in int64 arithmetic; it is out of range.
+		{"18446744073709551626", 0, false},
+		// PHP keeps "-0" a string key.
+		{"-0", 0, false},
+		{"-9223372036854775808", math.MinInt64, true},
+		{"9223372036854775807", math.MaxInt64, true},
+		{"9223372036854775808", 0, false},
+		{"-9223372036854775809", 0, false},
 	}
 	for _, c := range cases {
 		got, ok := canonicalIntKey(c.in)
