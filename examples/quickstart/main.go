@@ -90,14 +90,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	ip.SetTracer(interp.MultiTracer{col, rt})
+	ip.SetTracer(col)
 	col.BeginRequest()
-	rt.BeginRequest(false)
 	if _, err := ip.CallByName("main", value.Int(200)); err != nil {
 		log.Fatal(err)
 	}
-	ip.SetTracer(nil)
-	fmt.Printf("%-28s %10d cycles\n", "tier 1 (profiling)", rt.TakeCycles())
+	cost("tier 1 (profiling)")
 
 	// Tier 2: optimized from the collected profile.
 	p := col.Snapshot(prof.Meta{Revision: 1})

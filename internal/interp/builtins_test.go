@@ -118,33 +118,6 @@ func TestInterpAccessors(t *testing.T) {
 	}
 }
 
-func TestMultiTracerFansOut(t *testing.T) {
-	prog, err := hackc.CompileSources(map[string]string{"m.mh": `
-class C { prop p = 1; fun m() { return this->p; } }
-fun g(x) { return x + 1; }
-fun f() { c = new C; return g(c->m()); }
-`}, []string{"m.mh"}, hackc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, _ := object.NewRegistry(prog, nil)
-	a, b := newRecorder(), newRecorder()
-	ip := New(prog, reg, Config{Tracer: MultiTracer{a, b}})
-	if _, err := ip.CallByName("f"); err != nil {
-		t.Fatal(err)
-	}
-	if a.enters == 0 || a.enters != b.enters {
-		t.Fatalf("enters %d vs %d", a.enters, b.enters)
-	}
-	if a.returns != b.returns || a.props != b.props ||
-		a.newObjs != b.newObjs || len(a.calls) != len(b.calls) {
-		t.Fatal("multitracer fan-out diverged")
-	}
-	if a.newObjs != 1 || a.props == 0 {
-		t.Fatalf("events missing: %+v", a)
-	}
-}
-
 func TestCompareAllOps(t *testing.T) {
 	src := `fun f(a, b) {
   r = 0;

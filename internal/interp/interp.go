@@ -167,8 +167,7 @@ func (ip *Interp) Registry() *object.Registry { return ip.reg }
 // Program returns the linked program.
 func (ip *Interp) Program() *bytecode.Program { return ip.prog }
 
-// SetTracer swaps the tracer (used when a server transitions between
-// profiling and steady-state execution).
+// SetTracer installs (or removes, with nil) the execution observer.
 func (ip *Interp) SetTracer(t Tracer) { ip.tracer = t }
 
 // SetMemoizer installs (or removes, with nil) the replay cache.

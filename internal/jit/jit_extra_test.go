@@ -3,7 +3,6 @@ package jit
 import (
 	"testing"
 
-	"jumpstart/internal/interp"
 	"jumpstart/internal/value"
 )
 
@@ -138,7 +137,6 @@ func TestGuardFailureViaPolymorphicInlineSite(t *testing.T) {
 	if v.IsNull() {
 		t.Fatal("wrong result")
 	}
-	_ = interp.MultiTracer{} // keep import for symmetry with other tests
 }
 
 // TestEpochMovesOnlyWithRunningCode pins what Epoch and ChangedAt

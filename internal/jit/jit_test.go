@@ -69,11 +69,9 @@ func collectProfile(t *testing.T, w *world, j *JIT, reqs int) *prof.Profile {
 		}
 	}
 	col := prof.NewCollector(w.prog)
-	rt := NewRuntime(j, nil)
-	w.ip.SetTracer(interp.MultiTracer{col, rt})
+	w.ip.SetTracer(col)
 	for i := 0; i < reqs; i++ {
 		col.BeginRequest()
-		rt.BeginRequest(false)
 		if _, err := w.ip.CallByName("handler", value.Int(20)); err != nil {
 			t.Fatal(err)
 		}

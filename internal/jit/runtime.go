@@ -25,8 +25,8 @@ const (
 // Runtime charges execution costs for whatever translation each
 // function currently has, feeds the micro-architecture simulator, and
 // (in seeder mode) harvests the tier-2 instrumentation counters. It
-// implements interp.Tracer; the server installs it (usually behind an
-// interp.MultiTracer together with a prof.Collector) while serving.
+// implements interp.Tracer; the server's own tracer forwards every
+// event to it, after the prof.Collector while profiling.
 type Runtime struct {
 	jit *JIT
 	mem MemSim

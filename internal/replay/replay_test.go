@@ -30,9 +30,9 @@ fun handler(n) { return mid(n) + other(n); }`
 
 // enterHook lets a test act on a function's activation before the
 // runtime sees it, the way the server's tracer compiles on a trigger.
-// The embedded nil MultiTracer makes every other event a no-op.
+// Every other event goes straight to the embedded runtime.
 type enterHook struct {
-	interp.MultiTracer
+	*jit.Runtime
 	fire func(fn *bytecode.Function)
 }
 
@@ -40,6 +40,7 @@ func (h *enterHook) OnEnter(fn *bytecode.Function) {
 	if h.fire != nil {
 		h.fire(fn)
 	}
+	h.Runtime.OnEnter(fn)
 }
 
 // stack is one simulated VM: interpreter, JIT, cost runtime, memory
@@ -75,12 +76,12 @@ func newStack(t *testing.T, cc jit.CacheConfig, memo *Config) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &stack{prog: prog, heap: reg.Heap(), hook: &enterHook{}}
+	s := &stack{prog: prog, heap: reg.Heap()}
 	s.mem = microarch.New(microarch.DefaultConfig())
 	s.j = jit.New(prog, jit.DefaultOptions(), jit.NewCodeCache(cc))
 	s.rt = jit.NewRuntime(s.j, s.mem)
-	s.ip = interp.New(prog, reg, interp.Config{})
-	s.ip.SetTracer(interp.MultiTracer{s.hook, s.rt})
+	s.hook = &enterHook{Runtime: s.rt}
+	s.ip = interp.New(prog, reg, interp.Config{Tracer: s.hook})
 	if memo != nil {
 		cfg := *memo
 		cfg.JIT, cfg.Runtime, cfg.Heap, cfg.Mem = s.j, s.rt, s.heap, s.mem
@@ -207,18 +208,16 @@ func optimize(t *testing.T, s *stack) *prof.Profile {
 		}
 	}
 	col := prof.NewCollector(s.prog)
-	s.ip.SetTracer(interp.MultiTracer{col, s.rt})
+	s.ip.SetTracer(col)
 	memo := s.cache
 	s.ip.SetMemoizer(nil)
 	for i := 0; i < 8; i++ {
 		col.BeginRequest()
-		s.rt.BeginRequest(false)
 		if _, err := s.ip.CallByName("handler", value.Int(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.rt.TakeCycles()
-	s.ip.SetTracer(interp.MultiTracer{s.hook, s.rt})
+	s.ip.SetTracer(s.hook)
 	if memo != nil {
 		s.ip.SetMemoizer(memo)
 	}

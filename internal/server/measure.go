@@ -98,14 +98,7 @@ func (s *Server) MeasureSteady(n int) SteadyStats {
 // measureOneFrom executes one request from the given stream with micro
 // sampling, without advancing the tick clock or phase counters.
 func (s *Server) measureOneFrom(stream *workload.Traffic) (uint64, error) {
-	req := stream.Next()
-	s.rt.BeginRequest(true)
-	if s.col != nil {
-		s.col.BeginRequest()
-	}
-	ep := s.site.Endpoints[req.Endpoint]
-	_, err := s.ip.Call(ep.Fn, req.Arg)
-	c := s.rt.TakeCycles()
+	c, err := s.execute(stream.Next(), true)
 	// Keep the conservation invariant: every cycle the runtime
 	// attributes to the profile is also counted in totalCharged.
 	s.totalCharged += float64(c)

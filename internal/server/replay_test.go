@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -183,6 +184,41 @@ func TestSteadyRequestAllocRegression(t *testing.T) {
 	// bound means per-request garbage crept back into the harness.
 	if off > 20 {
 		t.Fatalf("per-request allocations regressed: %.1f > 20", off)
+	}
+
+	// The profiling path: every hook also reaches the tier-1 collector.
+	// The window never closes, so the server stays in PhaseProfiling
+	// with the collector attached.
+	cfg := testConfig(ModeNoJumpStart)
+	cfg.ProfileWindow = math.MaxInt32
+	s, err := New(testSite(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.phase != PhaseProfiling && s.now < 7200 {
+		s.Tick()
+	}
+	if s.col == nil {
+		t.Fatalf("no collector attached in phase %v", s.phase)
+	}
+	// Two rounds so the collector's lazily grown tables take in the
+	// measurement stream's key space before the pinned window.
+	for round := 0; round < 2; round++ {
+		stream := s.site.NewTraffic(s.cfg.Region, s.cfg.Bucket, measureSeed)
+		for i := 0; i < 400; i++ {
+			s.measureOneFrom(stream)
+		}
+	}
+	stream := s.site.NewTraffic(s.cfg.Region, s.cfg.Bucket, measureSeed)
+	profiling := testing.AllocsPerRun(400, func() {
+		s.measureOneFrom(stream)
+	})
+	t.Logf("allocs/request while profiling: %.1f", profiling)
+	// Ceiling: the count measured when the server still fanned hooks
+	// out through a tracer list. Calling the collector directly must
+	// never cost more.
+	if profiling > 19 {
+		t.Fatalf("profiling-path allocations regressed: %.1f > 19", profiling)
 	}
 }
 

@@ -347,8 +347,12 @@ func New(site *workload.Site, cfg Config) (*Server, error) {
 	}
 	s.j = jit.New(site.Prog, cfg.JITOpts, jit.NewCodeCache(cfg.CacheCfg))
 	s.rt = jit.NewRuntime(s.j, s.mem)
-	s.ip = interp.New(site.Prog, reg, interp.Config{})
-	s.st = &serverTracer{s: s}
+	s.st = &serverTracer{
+		s:      s,
+		loaded: make(map[string]bool),
+		calls:  make([]uint32, len(site.Prog.Funcs)),
+	}
+	s.ip = interp.New(site.Prog, reg, interp.Config{Tracer: s.st})
 	s.phase = PhaseInit
 	s.initRemaining = cfg.InitCycles
 	if cfg.ReplayCache {
@@ -380,7 +384,7 @@ func New(site *workload.Site, cfg Config) (*Server, error) {
 		telemetry.I("bucket", int64(cfg.Bucket)),
 		telemetry.I("seed", int64(cfg.Seed)))
 
-	s.applyTracer()
+	s.applyMemoizer()
 	return s, nil
 }
 
@@ -418,20 +422,15 @@ func (s *Server) chargeBG(b telemetry.CycleBucket, cycles float64) {
 // (asserted by TestCycleProfileConservation).
 func (s *Server) TotalCycles() float64 { return s.totalCharged }
 
-// applyTracer installs the tracer stack for the current phase: the
-// server tracer and cost-charging runtime always, plus the tier-1
-// collector while profiling. The replay memoizer is active exactly
-// when the collector is not: tier-1 profiling must observe every real
-// execution, so memoization pauses for that window.
-func (s *Server) applyTracer() {
-	if s.col != nil {
-		s.ip.SetTracer(interp.MultiTracer{s.st, s.col, s.rt})
+// applyMemoizer installs the replay memoizer exactly when the tier-1
+// collector is off: profiling must observe every real execution, so
+// memoization pauses for that window. A disabled cache installs nil,
+// never a typed-nil interface.
+func (s *Server) applyMemoizer() {
+	if s.col != nil || s.replay == nil {
 		s.ip.SetMemoizer(nil)
 	} else {
-		s.ip.SetTracer(interp.MultiTracer{s.st, s.rt})
-		if s.replay != nil {
-			s.ip.SetMemoizer(s.replay)
-		}
+		s.ip.SetMemoizer(s.replay)
 	}
 }
 
@@ -443,9 +442,6 @@ func (s *Server) applyTracer() {
 // otherwise it applies all call-count bumps and allows the replay.
 func (s *Server) canReplayEnters(enters []replay.FnCount) bool {
 	t := s.st
-	if t.calls == nil {
-		t.calls = make([]uint32, len(s.site.Prog.Funcs))
-	}
 	// A pending lazy page-in inside the subtree would be skipped by a
 	// replay (the real execution would fetch and install a translation
 	// mid-request); refuse without side effects.
@@ -657,7 +653,7 @@ func (s *Server) runInit(budget float64) float64 {
 			s.setPhase(PhaseProfiling)
 			s.col = prof.NewCollector(s.site.Prog)
 		}
-		s.applyTracer()
+		s.applyMemoizer()
 		break
 	}
 	return spent
@@ -681,7 +677,7 @@ func (s *Server) startupCost() float64 {
 		total += preload
 		s.chargeBG(telemetry.CycleUnitLoad, preload)
 		for _, u := range p.Units {
-			s.st.unitLoaded(u)
+			s.st.loaded[u] = true
 		}
 		s.tel.Event(s.now, "server", "consumer-preload",
 			telemetry.I("units", int64(len(p.Units))))
@@ -747,29 +743,33 @@ func (s *Server) startupCost() float64 {
 func (s *Server) runWarmupRequests() float64 {
 	total := 0.0
 	for i := 0; i < s.cfg.WarmupRequests; i++ {
-		req := s.traffic.Next()
-		s.rt.BeginRequest(false)
-		ep := s.site.Endpoints[req.Endpoint]
-		if _, err := s.ip.Call(ep.Fn, req.Arg); err != nil {
+		cycles, err := s.execute(s.traffic.Next(), false)
+		if err != nil {
 			s.faults++
 		}
-		total += float64(s.rt.TakeCycles())
+		total += float64(cycles)
 	}
 	return total
 }
 
-// serveOne executes the next request and returns its cycle cost.
-func (s *Server) serveOne() (uint64, error) {
-	req := s.traffic.Next()
-	s.reqCount++
-	micro := s.reqCount%s.cfg.MicroSampleEvery == 0
+// execute runs one request through the interpreter and returns the
+// cycles it charged. It is the one place a request starts: the runtime
+// always (micro selects micro-architecture sampling), the collector
+// only while profiling.
+func (s *Server) execute(req workload.Request, micro bool) (uint64, error) {
 	s.rt.BeginRequest(micro)
 	if s.col != nil {
 		s.col.BeginRequest()
 	}
-	ep := s.site.Endpoints[req.Endpoint]
-	_, err := s.ip.Call(ep.Fn, req.Arg)
-	cycles := s.rt.TakeCycles()
+	_, err := s.ip.Call(s.site.Endpoints[req.Endpoint].Fn, req.Arg)
+	return s.rt.TakeCycles(), err
+}
+
+// serveOne executes the next request and returns its cycle cost.
+func (s *Server) serveOne() (uint64, error) {
+	s.reqCount++
+	micro := s.reqCount%s.cfg.MicroSampleEvery == 0
+	cycles, err := s.execute(s.traffic.Next(), micro)
 	s.totalCharged += float64(cycles)
 	s.mRequests.Inc()
 	if err != nil {
@@ -801,7 +801,7 @@ func (s *Server) reachPointA() {
 		SeederID: int32(s.cfg.Seed),
 	})
 	s.col = nil
-	s.applyTracer()
+	s.applyMemoizer()
 	for _, name := range s.snapshot.HotFunctionsMin(uint64(s.cfg.OptimizeMinEntries)) {
 		if fn, ok := s.site.Prog.FuncByName(name); ok {
 			s.optQueue = append(s.optQueue, fn)
@@ -888,6 +888,4 @@ func (s *Server) sealSeederPackage() {
 		telemetry.I("funcs", int64(len(p.Funcs))),
 		telemetry.I("collect_reqs", int64(s.collectReqs)))
 	s.setPhase(PhaseExited)
-	s.ip.SetTracer(nil)
-	s.ip.SetMemoizer(nil)
 }

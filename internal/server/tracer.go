@@ -8,10 +8,13 @@ import (
 	"jumpstart/internal/value"
 )
 
-// serverTracer is the server's own execution observer: it charges
-// unit first-touch (metadata load) costs and drives tier transitions
-// (interpret → profile translation → live translation) based on call
-// counts, mirroring HHVM's request-driven JIT triggering.
+// serverTracer is the one tracer the server installs. On entry it
+// charges unit first-touch (metadata load) costs and drives tier
+// transitions (interpret → profile translation → live translation)
+// based on call counts, mirroring HHVM's request-driven JIT triggering.
+// Every event then goes to the tier-1 collector (only while profiling)
+// and the cost-charging runtime, in that order: the runtime comes last
+// so it charges for a translation the trigger has just compiled.
 type serverTracer struct {
 	s      *Server
 	loaded map[string]bool
@@ -20,24 +23,9 @@ type serverTracer struct {
 
 var _ interp.Tracer = (*serverTracer)(nil)
 
-// unitLoaded marks a unit preloaded without charging (consumer
-// startup preloads in bulk; the bulk cost is charged by startupCost).
-func (t *serverTracer) unitLoaded(name string) {
-	if t.loaded == nil {
-		t.loaded = make(map[string]bool)
-	}
-	t.loaded[name] = true
-}
-
 // OnEnter implements interp.Tracer.
 func (t *serverTracer) OnEnter(fn *bytecode.Function) {
 	s := t.s
-	if t.loaded == nil {
-		t.loaded = make(map[string]bool)
-	}
-	if t.calls == nil {
-		t.calls = make([]uint32, len(s.site.Prog.Funcs))
-	}
 	// First touch of a unit loads its metadata on demand — the cost
 	// that makes early no-Jump-Start requests so slow (Section VII-A).
 	if fn.Unit != nil && !t.loaded[fn.Unit.Name] {
@@ -79,23 +67,53 @@ func (t *serverTracer) OnEnter(fn *bytecode.Function) {
 			}
 		}
 	}
+
+	if s.col != nil {
+		s.col.OnEnter(fn)
+	}
+	s.rt.OnEnter(fn)
 }
 
 // OnBlock implements interp.Tracer.
-func (t *serverTracer) OnBlock(fn *bytecode.Function, block int) {}
+func (t *serverTracer) OnBlock(fn *bytecode.Function, block int) {
+	if col := t.s.col; col != nil {
+		col.OnBlock(fn, block)
+	}
+	t.s.rt.OnBlock(fn, block)
+}
 
 // OnCallSite implements interp.Tracer.
 func (t *serverTracer) OnCallSite(fn *bytecode.Function, pc int, callee *bytecode.Function) {
+	if col := t.s.col; col != nil {
+		col.OnCallSite(fn, pc, callee)
+	}
+	t.s.rt.OnCallSite(fn, pc, callee)
 }
 
 // OnReturn implements interp.Tracer.
-func (t *serverTracer) OnReturn(fn *bytecode.Function) {}
+func (t *serverTracer) OnReturn(fn *bytecode.Function) {
+	if col := t.s.col; col != nil {
+		col.OnReturn(fn)
+	}
+	t.s.rt.OnReturn(fn)
+}
 
-// OnNewObj implements interp.Tracer.
-func (t *serverTracer) OnNewObj(obj *object.Object) {}
+// OnNewObj implements interp.Tracer. The collector does not count
+// allocations, so only the runtime sees them.
+func (t *serverTracer) OnNewObj(obj *object.Object) { t.s.rt.OnNewObj(obj) }
 
 // OnPropAccess implements interp.Tracer.
-func (t *serverTracer) OnPropAccess(obj *object.Object, slot int, write bool) {}
+func (t *serverTracer) OnPropAccess(obj *object.Object, slot int, write bool) {
+	if col := t.s.col; col != nil {
+		col.OnPropAccess(obj, slot, write)
+	}
+	t.s.rt.OnPropAccess(obj, slot, write)
+}
 
 // OnOpTypes implements interp.Tracer.
-func (t *serverTracer) OnOpTypes(fn *bytecode.Function, pc int, a, b value.Kind) {}
+func (t *serverTracer) OnOpTypes(fn *bytecode.Function, pc int, a, b value.Kind) {
+	if col := t.s.col; col != nil {
+		col.OnOpTypes(fn, pc, a, b)
+	}
+	t.s.rt.OnOpTypes(fn, pc, a, b)
+}
