@@ -32,13 +32,14 @@ bench:
 
 # Allocation regressions: the interpreter hot path must stay at zero
 # machinery allocations, a presized packed array at two (header +
-# values), the steady-state request path under its per-request
-# ceiling, and the store's crash-retry pick path (exclusion lists in
-# force) at zero allocations.
+# values), object creation at a slab refill per many objects, Ext-TSP
+# at its per-call buffers, the steady-state request path under its
+# per-request ceiling, and the store's crash-retry pick path
+# (exclusion lists in force) at zero allocations.
 alloccheck:
 	$(GO) test -count=1 -v -run 'AllocFree|AllocRegression|TestStreamAllocFree' \
 		./internal/interp/ ./internal/microarch/ ./internal/server/ \
-		./internal/jumpstart/
+		./internal/jumpstart/ ./internal/object/ ./internal/layout/
 
 # CI gate: vet plus the full suite under the race detector. The
 # parallel-vs-sequential determinism tests run here, so this also
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFetchHostileConn$$' -fuzztime 10s ./internal/jumpstart/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayInvalidation$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzArrayOps$$' -fuzztime 10s ./internal/value/
+	$(GO) test -run '^$$' -fuzz '^FuzzExtTSP$$' -fuzztime 10s ./internal/layout/
 
 # The *sweep targets below are developer shortcuts, not CI steps: each
 # re-runs, verbosely and under -race, a subset of what `verify` just

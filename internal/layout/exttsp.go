@@ -9,7 +9,10 @@
 // the resulting orders when placing code in the code cache.
 package layout
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Graph is a weighted CFG prepared for block layout. Block 0 is the
 // entry and must remain first in any produced order.
@@ -72,18 +75,16 @@ func Score(g *Graph, order []int) float64 {
 	return total
 }
 
-// chain is a mutable sequence of blocks during greedy merging.
-type chain struct {
-	blocks []int
-	score  float64 // cached self-score contribution (not strictly needed)
-}
-
 // ExtTSP orders the graph's blocks to (approximately) maximize Score.
 // It uses the greedy chain-merging construction from the Ext-TSP
 // paper: every block starts as a singleton chain; at each step the
 // merge (of any pair of chains, in either orientation) with the
 // highest score gain is applied. The entry block is pinned to the
 // front of its chain and the final order.
+//
+// Apart from the returned order it allocates only a fixed set of
+// per-call buffers: a chain is a list threaded through the blocks, so
+// neither scoring a candidate merge nor applying one copies blocks.
 func ExtTSP(g *Graph) []int {
 	n := len(g.Blocks)
 	if n == 0 {
@@ -93,38 +94,41 @@ func ExtTSP(g *Graph) []int {
 		return []int{0}
 	}
 
-	chains := make([]*chain, n)
-	chainOf := make([]*chain, n)
-	for i := 0; i < n; i++ {
-		c := &chain{blocks: []int{i}}
-		chains[i] = c
-		chainOf[i] = c
+	// A chain is named by its first block, its head. next threads its
+	// blocks (-1 ends the chain); tail and score are indexed by head.
+	// score is the chain's Ext-TSP score laid out alone, the base every
+	// merge gain is measured against (0 for a singleton, which has no
+	// internal edge). live holds the heads of the unmerged chains in
+	// ascending order, so the entry chain is always live[0].
+	next := make([]int, n)
+	tail := make([]int, n)
+	live := make([]int, n)
+	score := make([]float64, n)
+	for b := range next {
+		next[b], tail[b], live[b] = -1, b, b
 	}
 
-	// To score a candidate merged chain in isolation we lay out only
-	// its blocks contiguously and count only edges internal to it.
-	inChain := make([]int, n) // block -> chain serial for filtering
+	// pairScore scores chain x followed by chain y laid out alone,
+	// counting only the edges with both ends in the pair.
+	inPair := make([]int, n) // block -> serial of the last pair holding it
+	addr := make([]int, n)
 	serial := 0
-	markChain := func(blocks []int) {
+	pairScore := func(x, y int) float64 {
 		serial++
-		for _, b := range blocks {
-			inChain[b] = serial
-		}
-	}
-	chainScore := func(blocks []int) float64 {
-		markChain(blocks)
-		addr := make(map[int]int, len(blocks))
 		pos := 0
-		for _, b := range blocks {
-			addr[b] = pos
-			pos += g.Blocks[b].Size
+		for _, head := range [2]int{x, y} {
+			for b := head; b >= 0; b = next[b] {
+				inPair[b] = serial
+				addr[b] = pos
+				pos += g.Blocks[b].Size
+			}
 		}
 		total := 0.0
 		for _, e := range g.Edges {
 			if e.Src == e.Dst || e.Weight == 0 {
 				continue
 			}
-			if inChain[e.Src] != serial || inChain[e.Dst] != serial {
+			if inPair[e.Src] != serial || inPair[e.Dst] != serial {
 				continue
 			}
 			srcEnd := addr[e.Src] + g.Blocks[e.Src].Size
@@ -142,82 +146,53 @@ func ExtTSP(g *Graph) []int {
 		return total
 	}
 
-	for _, c := range chains {
-		c.score = chainScore(c.blocks)
-	}
-
-	live := make(map[*chain]bool, n)
-	for _, c := range chains {
-		live[c] = true
-	}
-	entryChain := chainOf[0]
-
 	for len(live) > 1 {
-		var bestA, bestB *chain
+		// The best merge so far joins live[bestI] and live[bestJ], in
+		// that order unless swapped. Pairs are tried in live order, ab
+		// before ba, and only a strictly larger gain replaces the best,
+		// so among equal gains the first tried wins.
+		bestI, bestJ, swapped := -1, -1, false
 		bestGain := 0.0
-		var bestMerged []int
-		liveList := make([]*chain, 0, len(live))
-		for c := range live {
-			liveList = append(liveList, c)
-		}
-		// Deterministic iteration: order by first block id.
-		sort.Slice(liveList, func(i, j int) bool {
-			return liveList[i].blocks[0] < liveList[j].blocks[0]
-		})
-		for i := 0; i < len(liveList); i++ {
-			for j := i + 1; j < len(liveList); j++ {
-				a, b := liveList[i], liveList[j]
-				// Candidate orientations. The entry chain only accepts
-				// merges that keep the entry first.
-				var candidates [][]int
-				ab := append(append([]int{}, a.blocks...), b.blocks...)
-				ba := append(append([]int{}, b.blocks...), a.blocks...)
-				switch {
-				case a == entryChain:
-					candidates = [][]int{ab}
-				case b == entryChain:
-					candidates = [][]int{ba}
-				default:
-					candidates = [][]int{ab, ba}
+		for i, a := range live {
+			for j := i + 1; j < len(live); j++ {
+				b := live[j]
+				base := score[a] + score[b]
+				if gain := pairScore(a, b) - base; gain > bestGain {
+					bestI, bestJ, swapped, bestGain = i, j, false, gain
 				}
-				base := a.score + b.score
-				for _, cand := range candidates {
-					gain := chainScore(cand) - base
-					if gain > bestGain {
-						bestGain = gain
-						bestA, bestB = a, b
-						bestMerged = cand
-					}
+				// The entry chain (i == 0) only accepts merges that keep
+				// the entry first.
+				if i == 0 {
+					continue
+				}
+				if gain := pairScore(b, a) - base; gain > bestGain {
+					bestI, bestJ, swapped, bestGain = i, j, true, gain
 				}
 			}
 		}
-		if bestA == nil {
+		if bestI < 0 {
 			break // no merge improves the score
 		}
-		merged := &chain{blocks: bestMerged, score: bestA.score + bestB.score + bestGain}
-		delete(live, bestA)
-		delete(live, bestB)
-		live[merged] = true
-		for _, b := range bestMerged {
-			chainOf[b] = merged
+		// The merged chain keeps its first chain's head, and with it that
+		// chain's place in live; the second chain's entry goes.
+		a, b := live[bestI], live[bestJ]
+		merged := score[a] + score[b] + bestGain
+		drop := bestJ
+		if swapped {
+			a, b, drop = b, a, bestI
 		}
-		if bestA == entryChain || bestB == entryChain {
-			entryChain = merged
-		}
+		next[tail[a]] = b
+		tail[a] = tail[b]
+		score[a] = merged
+		live = append(live[:drop], live[drop+1:]...)
 	}
 
-	// Concatenate remaining chains: entry chain first, then by
-	// decreasing total weight density, ties by first block id.
-	rest := make([]*chain, 0, len(live))
-	for c := range live {
-		if c != entryChain {
-			rest = append(rest, c)
-		}
-	}
-	density := func(c *chain) float64 {
+	// Concatenate the remaining chains: the entry chain first, then by
+	// decreasing total weight density, ties by head block.
+	density := func(head int) float64 {
 		var w uint64
 		size := 0
-		for _, b := range c.blocks {
+		for b := head; b >= 0; b = next[b] {
 			w += g.Blocks[b].Weight
 			size += g.Blocks[b].Size
 		}
@@ -226,17 +201,17 @@ func ExtTSP(g *Graph) []int {
 		}
 		return float64(w) / float64(size)
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		di, dj := density(rest[i]), density(rest[j])
-		if di != dj {
-			return di > dj
+	slices.SortFunc(live[1:], func(x, y int) int {
+		if c := cmp.Compare(density(y), density(x)); c != 0 {
+			return c
 		}
-		return rest[i].blocks[0] < rest[j].blocks[0]
+		return cmp.Compare(x, y)
 	})
-
-	order := append([]int{}, entryChain.blocks...)
-	for _, c := range rest {
-		order = append(order, c.blocks...)
+	order := make([]int, 0, n)
+	for _, head := range live {
+		for b := head; b >= 0; b = next[b] {
+			order = append(order, b)
+		}
 	}
 
 	// Safety net: the greedy merge maximizes within-chain score, but

@@ -148,6 +148,28 @@ func TestPropExtTSPPermutationAndNoRegression(t *testing.T) {
 	}
 }
 
+// TestExtTSPAllocRegression bounds ExtTSP's allocations on a 40-block
+// chain graph (forward fall-throughs plus a loop back-edge) below 2n.
+// Its buffers are per call, so the count must not grow with the
+// number of merge steps or candidate pairs; the version that copied
+// every candidate made tens of thousands here.
+func TestExtTSPAllocRegression(t *testing.T) {
+	const n = 40
+	g := &Graph{Blocks: make([]BlockInfo, n)}
+	for i := range g.Blocks {
+		g.Blocks[i] = BlockInfo{Size: 16 + 8*(i%5), Weight: uint64(100 + i)}
+		if i > 0 {
+			g.Edges = append(g.Edges, Edge{Src: i - 1, Dst: i, Weight: uint64(90 + i)})
+		}
+	}
+	g.Edges = append(g.Edges, Edge{Src: n - 1, Dst: 1, Weight: 50})
+	allocs := testing.AllocsPerRun(20, func() { ExtTSP(g) })
+	t.Logf("ExtTSP, %d-block chain: %.0f allocations", n, allocs)
+	if allocs >= 2*n {
+		t.Fatalf("ExtTSP allocations regressed: %.0f >= %d", allocs, 2*n)
+	}
+}
+
 func TestSplitHotCold(t *testing.T) {
 	g := diamond()
 	order := []int{0, 1, 2, 3}

@@ -2,15 +2,32 @@ package object
 
 import "jumpstart/internal/value"
 
-// Heap is a simulated bump allocator. It does not own memory — Go's GC
-// does that — it only assigns stable 64-bit addresses to objects so the
-// micro-architecture simulator can model D-cache/D-TLB behaviour of
-// property accesses under different slot layouts.
+// Heap is a simulated bump allocator. It assigns stable 64-bit
+// addresses to objects so the micro-architecture simulator can model
+// D-cache/D-TLB behaviour of property accesses under different slot
+// layouts. Its Go memory is two slabs it carves objects from: one of
+// Object headers and one of slots, so creating an object costs a Go
+// allocation only when a slab runs out. A carved object keeps its whole
+// slab reachable; the simulated addresses do not depend on the slabs.
 type Heap struct {
 	next    uint64
 	nextID  uint64
 	objects uint64 // allocation count, for stats
+
+	objSlab  []Object      // unused tail of the current header slab
+	slotSlab []value.Value // unused tail of the current slot slab
 }
+
+// Slab sizes. Go (1.22 and later) prefixes each pointerful allocation
+// over 512 bytes with an 8-byte malloc header, so a slab's bytes plus 8
+// must fit a size class exactly, or the slab lands in the next class
+// up and wastes most of it: 63 headers of 48 bytes are 3,024 bytes
+// (+8 = the 3,072 class), 255 slots of 32 bytes are 8,160 (+8 = the
+// 8,192 class). 64 and 256 would each spill into a larger class.
+const (
+	objSlabLen  = 63
+	slotSlabLen = 255
+)
 
 // Simulated address-space constants. Object headers are 16 bytes and
 // each slot is 16 bytes (a boxed value), matching HHVM's TypedValue.
@@ -49,17 +66,32 @@ func (h *Heap) NewObject(rc *RuntimeClass) *Object {
 	h.objects++
 	size := uint64(headerSize + slotSize*len(rc.props))
 	size = (size + heapAlign - 1) &^ (heapAlign - 1)
-	o := &Object{
-		class: rc,
-		slots: make([]value.Value, len(rc.props)),
-		id:    h.nextID,
-		addr:  h.next,
+	if len(h.objSlab) == 0 {
+		h.objSlab = make([]Object, objSlabLen)
 	}
+	o := &h.objSlab[0]
+	h.objSlab = h.objSlab[1:]
+	*o = Object{class: rc, slots: h.carveSlots(len(rc.props)), id: h.nextID, addr: h.next}
 	h.next += size
 	for _, p := range rc.props {
 		o.slots[p.Slot] = p.Default
 	}
 	return o
+}
+
+// carveSlots returns n zeroed slots. They come from the slot slab,
+// capacity-clipped so no append can reach a neighbour's slots; a class
+// wider than a whole slab gets its own buffer.
+func (h *Heap) carveSlots(n int) []value.Value {
+	if n > slotSlabLen {
+		return make([]value.Value, n)
+	}
+	if len(h.slotSlab) < n {
+		h.slotSlab = make([]value.Value, slotSlabLen)
+	}
+	s := h.slotSlab[:n:n]
+	h.slotSlab = h.slotSlab[n:]
+	return s
 }
 
 // Allocations returns the number of objects allocated.

@@ -180,10 +180,11 @@ func TestSteadyRequestAllocRegression(t *testing.T) {
 		t.Fatalf("replay cache adds allocations: on %.1f > off %.1f", on, off)
 	}
 	// Regression ceiling: the interpreter rewrite took the machinery to
-	// zero; only workload value allocations remain. A jump past this
-	// bound means per-request garbage crept back into the harness.
-	if off > 20 {
-		t.Fatalf("per-request allocations regressed: %.1f > 20", off)
+	// zero; only workload value allocations remain, and objects come
+	// from the heap's slabs. A jump past this bound means per-request
+	// garbage crept back into the harness.
+	if off > 16 {
+		t.Fatalf("per-request allocations regressed: %.1f > 16", off)
 	}
 
 	// The profiling path: every hook also reaches the tier-1 collector.
@@ -214,11 +215,9 @@ func TestSteadyRequestAllocRegression(t *testing.T) {
 		s.measureOneFrom(stream)
 	})
 	t.Logf("allocs/request while profiling: %.1f", profiling)
-	// Ceiling: the count measured when the server still fanned hooks
-	// out through a tracer list. Calling the collector directly must
-	// never cost more.
-	if profiling > 19 {
-		t.Fatalf("profiling-path allocations regressed: %.1f > 19", profiling)
+	// Ceiling: the count measured once objects came from slabs.
+	if profiling > 16 {
+		t.Fatalf("profiling-path allocations regressed: %.1f > 16", profiling)
 	}
 }
 
