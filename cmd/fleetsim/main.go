@@ -303,7 +303,7 @@ func run(args []string, stdout io.Writer) error {
 	if *poolSize > 0 {
 		ps := fleet.PoolStats()
 		fmt.Fprintf(stdout, "# pool: size=%d avail=%d pending=%d drains=%d backfills=%d misses=%d pooled_boots=%d\n",
-			ps.Size, ps.Avail, ps.Pending, ps.Drains, ps.Backfills, ps.Misses, ps.Pooled)
+			ps.Size, ps.Avail, ps.Pending, ps.Drains, ps.Backfills, ps.Misses, ps.Drains)
 	}
 	if wmode == jumpstart.WarmupLazy {
 		fmt.Fprintf(stdout, "# lazy boots = %d\n", fleet.LazyBoots())

@@ -78,11 +78,9 @@ func (p *Program) fingerprintFuncs() {
 	}
 }
 
-// FingerprintOf computes fn's fingerprint against this program's
+// fingerprintOf computes fn's fingerprint against this program's
 // tables. fn must belong to p (its resolved ids are decoded through
 // p.Funcs / p.Classes).
-func (p *Program) FingerprintOf(fn *Function) Fingerprint { return p.fingerprintOf(fn) }
-
 func (p *Program) fingerprintOf(fn *Function) Fingerprint {
 	body := fnv64(fnvOffset)
 	shape := fnv64(fnvOffset)

@@ -257,7 +257,7 @@ func TestFleetConfigValidation(t *testing.T) {
 		"NaN tick":       func(c *Config) { c.TickSeconds = math.NaN() },
 		"ragged base":    func(c *Config) { c.CurveJumpStart.Values = c.CurveJumpStart.Values[1:] },
 		"ragged flavour": func(c *Config) { c.CurveLazy = WarmupCurve{Times: []float64{0, 1}, Values: []float64{1}} },
-		"values only":    func(c *Config) { c.CurvePooled = WarmupCurve{Values: []float64{1}} },
+		"values only":    func(c *Config) { c.CurveAggregated = WarmupCurve{Values: []float64{1}} },
 		"descending times": func(c *Config) {
 			c.CurveRemapped = WarmupCurve{Times: []float64{0, 5, 3}, Values: []float64{0, 0.5, 1}}
 		},

@@ -122,9 +122,10 @@ type flavourSet [numFlavours]bool
 type curveTable [numFlavours]*WarmupCurve
 
 // resolveCurves builds the table from the Config.Curve* fields,
-// rejecting curves WarmupCurve.At cannot interpolate. Exact, cold and
-// pooled boots always have a curve (an empty one is instant capacity);
-// the other flavours only when theirs is configured.
+// rejecting curves WarmupCurve.At cannot interpolate. Exact and cold
+// boots always have a curve (an empty one is instant capacity); the
+// other flavours only when theirs is configured. Pooled standbys are
+// pre-warmed, so they always replay the empty curve.
 func resolveCurves(cfg *Config) (curveTable, error) {
 	var t curveTable
 	for _, e := range [...]struct {
@@ -135,7 +136,6 @@ func resolveCurves(cfg *Config) (curveTable, error) {
 	}{
 		{flExact, "CurveJumpStart", &cfg.CurveJumpStart, true},
 		{flCold, "CurveNoJumpStart", &cfg.CurveNoJumpStart, true},
-		{flPooled, "CurvePooled", &cfg.CurvePooled, true},
 		{flLazy, "CurveLazy", &cfg.CurveLazy, false},
 		{flRemapped, "CurveRemapped", &cfg.CurveRemapped, false},
 		{flMismatch, "CurveMismatch", &cfg.CurveMismatch, false},
@@ -156,6 +156,7 @@ func resolveCurves(cfg *Config) (curveTable, error) {
 			t[e.fl] = c
 		}
 	}
+	t[flPooled] = &WarmupCurve{}
 	return t, nil
 }
 

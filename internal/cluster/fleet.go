@@ -78,8 +78,8 @@ type Config struct {
 	// PoolSize, when > 0, maintains a standby warm-pool boot tier: a
 	// pool of pre-booted, pre-jump-started consumers that deployments
 	// drain. When a C3 wave restarts a consumer and a standby is
-	// available, the slot is swapped to the standby — at full capacity
-	// on CurvePooled — while the replaced instance reboots into the
+	// available, the slot is swapped to the standby — at instant full
+	// capacity — while the replaced instance reboots into the
 	// pool in the background and becomes available again once warm.
 	// An empty pool (drained faster than backfill) books a pool miss
 	// and the server takes the normal restart path.
@@ -88,10 +88,6 @@ type Config struct {
 	// the pool per virtual second (<= 0 means unthrottled): the knob
 	// that trades pool freshness against churn pressure on the tier.
 	PoolBackfillRate float64
-	// CurvePooled is the warmup curve a swapped-in standby replays.
-	// Standbys are pre-warmed, so the empty curve — instant full
-	// capacity — is the natural default.
-	CurvePooled WarmupCurve
 
 	// WarmupMode selects eager (default) or lazy consumer warmup for
 	// Jump-Start boots. Lazy boots serve immediately and page
@@ -346,7 +342,6 @@ type Fleet struct {
 	poolDrains     int
 	poolBackfills  int
 	poolMisses     int
-	pooledBoots    int
 
 	// Counters.
 	crashes   int
@@ -992,14 +987,12 @@ func (f *Fleet) poolRebootSeconds() float64 {
 }
 
 // swapFromPool brings a just-stopped consumer's slot straight back up
-// on a warm standby: it serves immediately on CurvePooled (empty curve
-// = instant full capacity) while the old instance's reboot is queued
-// to backfill the pool. Only called from the sequential wave-restart
-// path.
+// on a warm standby: it serves immediately at full capacity while the
+// old instance's reboot is queued to backfill the pool. Only called
+// from the sequential wave-restart path.
 func (f *Fleet) swapFromPool(s *simServer) {
 	f.poolAvail--
 	f.poolDrains++
-	f.pooledBoots++
 	f.poolPending = append(f.poolPending, f.now+f.poolRebootSeconds())
 	f.beginBoot(s)
 	s.state = stWarming
@@ -1307,7 +1300,6 @@ type PoolStats struct {
 	Drains    int // cumulative standby swap-ins
 	Backfills int // cumulative re-admissions into the pool
 	Misses    int // wave restarts that found the pool empty
-	Pooled    int // cumulative CurvePooled boots (== Drains)
 }
 
 // PoolStats snapshots the warm-pool tier (zero value when PoolSize is
@@ -1320,7 +1312,6 @@ func (f *Fleet) PoolStats() PoolStats {
 		Drains:    f.poolDrains,
 		Backfills: f.poolBackfills,
 		Misses:    f.poolMisses,
-		Pooled:    f.pooledBoots,
 	}
 }
 
@@ -1394,11 +1385,6 @@ func (f *Fleet) Outcomes() []ServerOutcome {
 
 // Servers returns the fleet size.
 func (f *Fleet) Servers() int { return len(f.servers) }
-
-// ServerSeries returns each server's per-tick capacity series (nil
-// unless Config.RecordSeries). The outer slice is indexed by server;
-// callers feed the inner series to obs.Classify.
-func (f *Fleet) ServerSeries() [][]float64 { return f.series }
 
 // WarmupSeries returns each server's capacity series from its first
 // boot of the latest push onward (nil unless Config.RecordSeries) —

@@ -259,7 +259,11 @@ func goldenRun(t *testing.T, cfg Config, seconds float64) (sim, trace string) {
 	fmt.Fprintf(h, "crashes %d fallbacks %d remap %d lazy %d failovers %d consensus %d aggboots %d prop %d/%d churn %d/%d\n",
 		f.Crashes(), f.Fallbacks(), f.RemapBoots(), f.LazyBoots(), f.Failovers(),
 		f.ConsensusPackages(), f.AggregatedBoots(), propOK, propFail, kept, lost)
-	fmt.Fprintf(h, "pool %+v\nscenario %+v\n", f.PoolStats(), f.ScenarioStats())
+	// The pool line keeps the text the committed digests were taken
+	// over: the trailing "Pooled" count always equalled Drains.
+	ps := f.PoolStats()
+	fmt.Fprintf(h, "pool {Size:%d Avail:%d Pending:%d Drains:%d Backfills:%d Misses:%d Pooled:%d}\nscenario %+v\n",
+		ps.Size, ps.Avail, ps.Pending, ps.Drains, ps.Backfills, ps.Misses, ps.Drains, f.ScenarioStats())
 	sim = fmt.Sprintf("%x", h.Sum(nil)[:12])
 	if cfg.Telem == nil {
 		return sim, ""

@@ -8,8 +8,8 @@ import (
 )
 
 // poolConfig is fleetConfig plus a warm standby pool of the given size
-// and backfill rate. CurvePooled stays empty: a standby swaps in at
-// full capacity instantly, the strongest version of the tier.
+// and backfill rate. A standby swaps in at full capacity instantly,
+// the strongest version of the tier.
 func poolConfig(size int, rate float64) Config {
 	cfg := fleetConfig(true)
 	cfg.PoolSize = size
@@ -37,9 +37,6 @@ func checkPoolConservation(t *testing.T, ps PoolStats) {
 	}
 	if ps.Pending != ps.Drains-ps.Backfills {
 		t.Fatalf("pending miscounted: %+v", ps)
-	}
-	if ps.Pooled != ps.Drains {
-		t.Fatalf("pooled boots %d != drains %d", ps.Pooled, ps.Drains)
 	}
 	if ps.Avail < 0 || ps.Avail > ps.Size || ps.Pending < 0 {
 		t.Fatalf("pool counters out of range: %+v", ps)
@@ -213,7 +210,7 @@ func pooledLazyConfig() Config {
 // the new tier: with pooling, throttled backfill, lazy warmup and the
 // defect paths all active, the tick series, pool accounting and boot
 // counters must be byte-identical at every worker count. This is the
-// -race half of the acceptance bar; `make poolsweep` runs it with the
+// -race half of the acceptance bar; `make verify` runs it with the
 // detector on.
 func TestPooledLazyDeterminism(t *testing.T) {
 	run := func(workers int) ([]FleetTick, PoolStats, int, int, int) {

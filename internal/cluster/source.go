@@ -88,8 +88,9 @@ func sortedKeys[V any](m map[[2]int]V) [][2]int {
 }
 
 // memSource is the in-memory store: the bucket lists are the store.
-// transportSource embeds it for the Fleet back-pointer and the hooks
-// a single store has no use for.
+// Every fleet without a Transport runs on it, the benchmark's
+// fleet_direct workload included. transportSource embeds it for the
+// Fleet back-pointer and the hooks a single store has no use for.
 type memSource struct{ f *Fleet }
 
 func (m memSource) publish(key [2]int, info pkgInfo) { m.f.register(key, info, nil) }

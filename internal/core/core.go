@@ -1,57 +1,15 @@
-// Package core is the high-level entry point of the Jump-Start
-// reproduction: a small facade over the MiniHack VM (compile and run
-// source code through the tiered JIT) and over the scenario plumbing
-// that the examples, commands and benchmarks share (seed a profile
-// package, boot consumers, measure steady state).
+// Package core is the scenario plumbing that the experiments and the
+// benchmark share: generate a site, calibrate its load, seed a profile
+// package, and boot and measure servers for each Jump-Start variant.
 package core
 
 import (
 	"fmt"
-	"io"
 
-	"jumpstart/internal/hackc"
-	"jumpstart/internal/interp"
-	"jumpstart/internal/jumpstart"
-	"jumpstart/internal/object"
 	"jumpstart/internal/prof"
 	"jumpstart/internal/server"
-	"jumpstart/internal/value"
 	"jumpstart/internal/workload"
 )
-
-// VM is a ready-to-run MiniHack virtual machine for one compiled
-// program (the quickstart-level API).
-type VM struct {
-	ip *interp.Interp
-}
-
-// NewVM compiles the given sources (file name → MiniHack code, in
-// order) with the offline optimizer and returns a VM. out receives
-// print() output; nil discards it.
-func NewVM(sources map[string]string, order []string, out io.Writer) (*VM, error) {
-	prog, err := hackc.CompileSources(sources, order, hackc.Options{Optimize: true})
-	if err != nil {
-		return nil, err
-	}
-	reg, err := object.NewRegistry(prog, nil)
-	if err != nil {
-		return nil, err
-	}
-	ip := interp.New(prog, reg, interp.Config{Out: out})
-	return &VM{ip: ip}, nil
-}
-
-// Call invokes a free function by name.
-func (vm *VM) Call(fn string, args ...value.Value) (value.Value, error) {
-	return vm.ip.CallByName(fn, args...)
-}
-
-// Disasm returns the program's disassembly.
-func (vm *VM) Disasm() string { return vm.ip.Program().Disasm() }
-
-// Interp exposes the underlying interpreter for advanced use (tracer
-// installation, registry access).
-func (vm *VM) Interp() *interp.Interp { return vm.ip }
 
 // Scenario bundles a generated website with a base server
 // configuration, providing the seeder→consumer workflow in a few
@@ -190,17 +148,4 @@ func (sc *Scenario) Calibrate(frac, horizon float64) (float64, error) {
 		sc.ServerCfg.OptimizeMinEntries = 20
 	}
 	return capacity, nil
-}
-
-// PublishValidated seeds a package, validates it (Section VI-A1) and
-// publishes it to the store, returning the result.
-func (sc *Scenario) PublishValidated(store *jumpstart.Store, thresholds prof.Thresholds) (jumpstart.SeedResult, error) {
-	v := &jumpstart.Validator{
-		Site:           sc.Site,
-		ConsumerConfig: sc.ServerCfg,
-		Requests:       300,
-		MaxFaultRate:   0.01,
-		Thresholds:     thresholds,
-	}
-	return jumpstart.SeedAndPublish(sc.Site, sc.ServerCfg, v, store, 3)
 }

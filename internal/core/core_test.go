@@ -1,47 +1,11 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
-	"jumpstart/internal/jumpstart"
-	"jumpstart/internal/prof"
 	"jumpstart/internal/server"
-	"jumpstart/internal/value"
 	"jumpstart/internal/workload"
 )
-
-func TestVMCompileAndRun(t *testing.T) {
-	var out strings.Builder
-	vm, err := NewVM(map[string]string{"m.mh": `
-fun greet(name) { print("hello ", name); return strlen(name); }
-`}, []string{"m.mh"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := vm.Call("greet", value.Str("world"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AsInt() != 5 {
-		t.Fatalf("greet = %v", v)
-	}
-	if out.String() != "hello world\n" {
-		t.Fatalf("output = %q", out.String())
-	}
-	if !strings.Contains(vm.Disasm(), ".function greet") {
-		t.Fatal("disasm missing function")
-	}
-	if vm.Interp() == nil {
-		t.Fatal("interp accessor")
-	}
-}
-
-func TestVMCompileError(t *testing.T) {
-	if _, err := NewVM(map[string]string{"m.mh": `fun broken(`}, []string{"m.mh"}, nil); err == nil {
-		t.Fatal("syntax error accepted")
-	}
-}
 
 func scenarioForTest(t *testing.T) *Scenario {
 	t.Helper()
@@ -134,22 +98,5 @@ func TestScenarioCalibrate(t *testing.T) {
 	}
 	if sc.ServerCfg.SeederCollectWindow <= 0 {
 		t.Fatal("collect window")
-	}
-}
-
-func TestPublishValidated(t *testing.T) {
-	sc := scenarioForTest(t)
-	store := jumpstart.NewStore()
-	res, err := sc.PublishValidated(store, prof.Thresholds{
-		MinFuncs: 5, MinBlocks: 5, MinRequests: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Published == 0 {
-		t.Fatal("nothing published")
-	}
-	if store.Count(0, 0) != 1 {
-		t.Fatal("store empty")
 	}
 }

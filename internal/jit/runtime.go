@@ -122,21 +122,11 @@ func (r *Runtime) TakeCycles() uint64 {
 // Cycles returns the accumulated cycle count.
 func (r *Runtime) Cycles() uint64 { return r.cycles }
 
-// AddCycles charges extra cycles (used by the server for fixed
-// per-request overheads). External charges are invisible to a replay
-// capture, so any capture in flight is poisoned.
-func (r *Runtime) AddCycles(c uint64) {
-	r.cycles += c
-	if r.rec != nil {
-		r.rec.MarkDirty()
-	}
-}
-
 // AddCyclesBucket charges extra cycles attributed to the given
 // telemetry bucket (used by the server for unit loads and compile
-// costs charged on the request path). Like AddCycles, it poisons any
-// capture in flight: unit loads and compiles are one-time effects a
-// replay could not reproduce.
+// costs charged on the request path). External charges are invisible
+// to a replay capture, so it poisons any capture in flight: unit loads
+// and compiles are one-time effects a replay could not reproduce.
 func (r *Runtime) AddCyclesBucket(c uint64, b telemetry.CycleBucket) {
 	r.cycles += c
 	r.cp.AddUint(b, c)

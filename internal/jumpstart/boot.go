@@ -66,17 +66,9 @@ type BootConfig struct {
 	Clock func() float64
 	// Revision is the consumer's build checksum (0 disables revision
 	// checking). A picked package whose decoded Meta.Revision differs
-	// is handled per Policy.
+	// is skipped, and records the distinct "package revision mismatch"
+	// fallback reason if boot ultimately falls back.
 	Revision uint64
-	// Policy decides what to do with a mismatched-revision package:
-	// ExactOnly skips it (and records the distinct "package revision
-	// mismatch" fallback reason if boot ultimately falls back);
-	// RemapTolerant passes it through Remap.
-	Policy CompatPolicy
-	// Remap translates a mismatched-revision profile onto this build
-	// (callers wire prof.Remap with both programs). Only consulted
-	// under RemapTolerant; nil skips mismatched packages.
-	Remap func(p *prof.Profile) (*prof.Profile, error)
 	// Warmup selects eager (the zero value) or lazy package
 	// materialization for the booted consumer. Lazy maps onto
 	// Server.LazyWarmup: the consumer serves as soon as init work is
@@ -119,7 +111,7 @@ func BootConsumer(site *workload.Site, source PackageSource, cfg BootConfig) (*s
 	}
 
 	// The boot is the root of this consumer's causal span tree; every
-	// pick, validation and remap lands as a child, and a span-recording
+	// pick and validation lands as a child, and a span-recording
 	// source nests its own fetch spans under the pick span.
 	bootSpan := cfg.Telem.BeginSpan()
 	bootStart := cfg.now()
@@ -160,9 +152,7 @@ func BootConsumer(site *workload.Site, source PackageSource, cfg BootConfig) (*s
 			break
 		}
 		info.Attempts = attempt
-		// The validate span covers decode + revision check; a remap
-		// nests under it (not beside it — sibling overlap would break
-		// the duration-conservation invariant under a real clock).
+		// The validate span covers decode + revision check.
 		vSpan := cfg.Telem.BeginSpan()
 		vStart := cfg.now()
 		p, err := prof.Decode(pkg.Data)
@@ -175,29 +165,14 @@ func BootConsumer(site *workload.Site, source PackageSource, cfg BootConfig) (*s
 			continue
 		}
 		if cfg.Revision != 0 && uint64(p.Meta.Revision) != cfg.Revision {
-			// A package from a different build. Without remapping it
-			// would silently warm the server from arbitrarily different
-			// code; the distinct reason makes these fallbacks visible.
-			if cfg.Policy != RemapTolerant || cfg.Remap == nil {
-				cfg.Telem.EndSpan(vSpan, bootSpan, vStart, cfg.now(), "boot", "validate",
-					telemetry.B("ok", false), telemetry.S("reason", "revision-mismatch"))
-				failed = append(failed, pkg.ID)
-				info.FallbackReason = "package revision mismatch"
-				continue
-			}
-			rStart := cfg.now()
-			remapped, err := cfg.Remap(p)
-			remapOK := err == nil && uint64(remapped.Meta.Revision) == cfg.Revision
-			cfg.Telem.SpanUnder(vSpan, rStart, cfg.now(), "boot", "remap",
-				telemetry.B("ok", remapOK))
-			if !remapOK {
-				cfg.Telem.EndSpan(vSpan, bootSpan, vStart, cfg.now(), "boot", "validate",
-					telemetry.B("ok", false), telemetry.S("reason", "revision-mismatch"))
-				failed = append(failed, pkg.ID)
-				info.FallbackReason = "package revision mismatch"
-				continue
-			}
-			p = remapped
+			// A package from a different build would silently warm the
+			// server from arbitrarily different code; the distinct
+			// reason makes these fallbacks visible.
+			cfg.Telem.EndSpan(vSpan, bootSpan, vStart, cfg.now(), "boot", "validate",
+				telemetry.B("ok", false), telemetry.S("reason", "revision-mismatch"))
+			failed = append(failed, pkg.ID)
+			info.FallbackReason = "package revision mismatch"
+			continue
 		}
 		cfg.Telem.EndSpan(vSpan, bootSpan, vStart, cfg.now(), "boot", "validate",
 			telemetry.B("ok", true))

@@ -163,6 +163,37 @@ func TestValidatorRejectsLowCoverage(t *testing.T) {
 	}
 }
 
+// stampRevision re-encodes a package with Meta.Revision set to rev.
+func stampRevision(t *testing.T, data []byte, rev int64) []byte {
+	t.Helper()
+	p, err := prof.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Meta.Revision = rev
+	return p.Encode()
+}
+
+func TestValidatorRejectsRevisionMismatch(t *testing.T) {
+	site, data := siteAndPackageBytes(t)
+	stamped := stampRevision(t, data, 7)
+	v := &Validator{
+		Site:           site,
+		ConsumerConfig: fastServerConfig(),
+		Requests:       150,
+		MaxFaultRate:   0.01,
+		Thresholds:     prof.Thresholds{MinFuncs: 10, MinBlocks: 10, MinRequests: 50},
+		Revision:       9,
+	}
+	if err := v.Validate(stamped); !errors.Is(err, ErrRevision) {
+		t.Fatalf("mismatched revision: err = %v, want ErrRevision", err)
+	}
+	v.Revision = 7
+	if err := v.Validate(stamped); err != nil {
+		t.Fatalf("matching revision rejected: %v", err)
+	}
+}
+
 func TestSeedAndPublish(t *testing.T) {
 	site, _ := siteAndPackageBytes(t)
 	store := NewStore()
@@ -294,6 +325,24 @@ func TestBootConsumerAllCorruptFallsBack(t *testing.T) {
 		t.Fatal("all-corrupt store must fall back")
 	}
 	if !strings.Contains(info.FallbackReason, "undecodable") {
+		t.Fatalf("reason = %q", info.FallbackReason)
+	}
+}
+
+func TestBootConsumerRevisionMismatchFallsBack(t *testing.T) {
+	site, data := siteAndPackageBytes(t)
+	store := NewStore()
+	store.Publish(0, 0, stampRevision(t, data, 7))
+	_, info, err := BootConsumer(site, store, BootConfig{
+		Server: fastServerConfig(), MaxAttempts: 3, Revision: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.UsedJumpStart {
+		t.Fatal("a package from another revision must not be booted")
+	}
+	if info.FallbackReason != "package revision mismatch" {
 		t.Fatalf("reason = %q", info.FallbackReason)
 	}
 }

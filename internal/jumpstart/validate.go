@@ -31,18 +31,9 @@ type Validator struct {
 	WarmupDeadline float64
 	// Revision is the build checksum of the source revision this
 	// validator serves (0 disables revision checking, for callers that
-	// predate revision stamping).
+	// predate revision stamping). A package whose Meta.Revision differs
+	// is rejected with ErrRevision.
 	Revision uint64
-	// Policy decides what happens to a package whose Meta.Revision
-	// differs from Revision: ExactOnly rejects it with ErrRevision;
-	// RemapTolerant passes it through Remap first and validates the
-	// remapped profile end to end (trial boot included).
-	Policy CompatPolicy
-	// Remap translates a mismatched-revision profile onto this build
-	// (wired to prof.Remap by callers that hold both programs). Only
-	// consulted under RemapTolerant; nil means mismatches are rejected
-	// even under RemapTolerant.
-	Remap func(p *prof.Profile) (*prof.Profile, error)
 	// Telem observes validation outcomes (may be nil). The trial server
 	// itself runs without telemetry so validation cost stays identical
 	// with observation on or off.
@@ -79,19 +70,8 @@ func (v *Validator) validate(data []byte) error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if v.Revision != 0 && uint64(p.Meta.Revision) != v.Revision {
-		if v.Policy != RemapTolerant || v.Remap == nil {
-			return fmt.Errorf("%w: package %x, build %x (policy %s)",
-				ErrRevision, uint64(p.Meta.Revision), v.Revision, v.Policy)
-		}
-		remapped, err := v.Remap(p)
-		if err != nil {
-			return fmt.Errorf("%w: remap failed: %v", ErrRevision, err)
-		}
-		if uint64(remapped.Meta.Revision) != v.Revision {
-			return fmt.Errorf("%w: remap stamped %x, want %x",
-				ErrRevision, uint64(remapped.Meta.Revision), v.Revision)
-		}
-		p = remapped
+		return fmt.Errorf("%w: package %x, build %x",
+			ErrRevision, uint64(p.Meta.Revision), v.Revision)
 	}
 	if !p.MeetsThresholds(v.Thresholds) {
 		c := p.Coverage()

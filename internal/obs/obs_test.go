@@ -47,7 +47,7 @@ func TestChangepointsNoisyStep(t *testing.T) {
 }
 
 // goldenCurves pins the classifier's labels on canonical curve shapes —
-// the classifier regression suite `make obssweep` runs in CI.
+// the classifier regression suite `make verify` runs in CI.
 func goldenCurves() map[string]struct {
 	xs   []float64
 	want Label

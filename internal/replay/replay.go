@@ -22,8 +22,6 @@
 package replay
 
 import (
-	"sync/atomic"
-
 	"jumpstart/internal/bytecode"
 	"jumpstart/internal/jit"
 	"jumpstart/internal/microarch"
@@ -275,7 +273,6 @@ func (c *Cache) makeKey(callee *bytecode.Function, ctx uint64, args []value.Valu
 func (c *Cache) miss() (value.Value, int64, bool) {
 	c.localMisses++
 	c.cMisses.Inc()
-	atomic.AddUint64(&totalMisses, 1)
 	return value.Null, 0, false
 }
 
@@ -340,7 +337,6 @@ func (c *Cache) TryReplay(caller, callee *bytecode.Function, pc int,
 	c.cfg.Heap.AdvanceBy(e.AllocBytes, e.AllocObjects)
 	c.localHits++
 	c.cHits.Inc()
-	atomic.AddUint64(&totalHits, 1)
 	return e.Ret, e.Steps, true
 }
 
@@ -521,13 +517,3 @@ func (r *recorder) RecordReturn() { r.depth-- }
 
 // MarkDirty implements jit.Recorder.
 func (r *recorder) MarkDirty() { r.dirty = true }
-
-// Process-wide hit/miss totals, aggregated across every cache in the
-// process. Observability only (the benchmark harness reports the
-// global hit rate); never read by the simulation.
-var totalHits, totalMisses uint64
-
-// Totals returns the process-wide hit/miss counts.
-func Totals() (hits, misses uint64) {
-	return atomic.LoadUint64(&totalHits), atomic.LoadUint64(&totalMisses)
-}

@@ -1,5 +1,5 @@
 // Package scenario is the deterministic traffic-scenario engine: it
-// modulates per-region request demand and endpoint mix over virtual
+// modulates per-region request demand and availability over virtual
 // time, so the fleet and server simulations can be driven by the
 // conditions the paper's production fleet actually sees — diurnal
 // swings, flash crowds, and regional failover drills — instead of a
@@ -26,8 +26,8 @@ type Kind uint8
 const (
 	// Steady is the null scenario: demand 1 everywhere, forever.
 	Steady Kind = iota
-	// Diurnal is a per-region phase-shifted sinusoid on request rate
-	// and endpoint mix — regions peak at different wall-clock hours.
+	// Diurnal is a per-region phase-shifted sinusoid on request rate —
+	// regions peak at different wall-clock hours.
 	Diurnal
 	// FlashCrowd is a scheduled spike with configurable ramp, hold and
 	// decay, hitting one region (or all of them).
@@ -82,13 +82,11 @@ type Config struct {
 	// peak-to-mean swing in [0, 1); RegionPhase the deterministic
 	// phase offset between consecutive regions (fraction of a period,
 	// the "time zones"); PhaseJitter a per-region random extra phase
-	// (fraction of a period) forked from Seed. MixAmplitude is how far
-	// the endpoint mix rotates at the wave peak (see MixShift).
-	Period       float64
-	Amplitude    float64
-	RegionPhase  float64
-	PhaseJitter  float64
-	MixAmplitude float64
+	// (fraction of a period) forked from Seed.
+	Period      float64
+	Amplitude   float64
+	RegionPhase float64
+	PhaseJitter float64
 
 	// Flash crowd: demand ramps from 1 to Magnitude over FlashRamp
 	// seconds starting at FlashStart, holds for FlashHold, and decays
@@ -118,11 +116,10 @@ func DefaultConfig(kind Kind, regions int, horizon float64) Config {
 		Regions: regions,
 		Seed:    1,
 
-		Period:       horizon / 2,
-		Amplitude:    0.4,
-		RegionPhase:  1 / 3.0,
-		PhaseJitter:  0.05,
-		MixAmplitude: 0.25,
+		Period:      horizon / 2,
+		Amplitude:   0.4,
+		RegionPhase: 1 / 3.0,
+		PhaseJitter: 0.05,
 
 		FlashStart:     horizon / 3,
 		FlashRamp:      horizon / 24,
@@ -163,9 +160,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		if cfg.PhaseJitter < 0 {
 			return nil, fmt.Errorf("scenario: PhaseJitter must be non-negative, got %g", cfg.PhaseJitter)
-		}
-		if cfg.MixAmplitude < 0 || cfg.MixAmplitude > 1 {
-			return nil, fmt.Errorf("scenario: MixAmplitude must be in [0, 1], got %g", cfg.MixAmplitude)
 		}
 	case FlashCrowd:
 		if cfg.FlashMagnitude < 1 {
@@ -290,23 +284,4 @@ func (e *Engine) EffectiveDemand(region int, t float64) float64 {
 		return own
 	}
 	return own + dark*(own/alive)
-}
-
-// MixShift returns the endpoint-mix rotation for the region at time t,
-// in [0, MixAmplitude] — the value workload.Traffic.SetMixShift
-// applies. The diurnal wave rotates the mix in phase with its demand
-// swing (different features peak at different hours); a flash crowd
-// rotates the hit region's mix with its envelope (the crowd hammers
-// one feature). Steady and failover scenarios leave the mix alone.
-func (e *Engine) MixShift(region int, t float64) float64 {
-	c := &e.cfg
-	switch c.Kind {
-	case Diurnal:
-		return c.MixAmplitude * 0.5 * (1 + math.Sin(2*math.Pi*(t/c.Period+e.phase[region])))
-	case FlashCrowd:
-		if c.FlashRegion < 0 || c.FlashRegion == region {
-			return c.MixAmplitude * e.flashEnvelope(t)
-		}
-	}
-	return 0
 }

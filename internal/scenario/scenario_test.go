@@ -28,7 +28,6 @@ func TestNewValidation(t *testing.T) {
 		"bad amplitude": func(c *Config) { c.Kind = Diurnal; c.Amplitude = 1.5 },
 		"zero period":   func(c *Config) { c.Kind = Diurnal; c.Period = 0 },
 		"neg jitter":    func(c *Config) { c.Kind = Diurnal; c.PhaseJitter = -1 },
-		"bad mix":       func(c *Config) { c.Kind = Diurnal; c.MixAmplitude = 2 },
 		"weak flash":    func(c *Config) { c.Kind = FlashCrowd; c.FlashMagnitude = 0.5 },
 		"neg ramp":      func(c *Config) { c.Kind = FlashCrowd; c.FlashRamp = -1 },
 		"flash region":  func(c *Config) { c.Kind = FlashCrowd; c.FlashRegion = 7 },
@@ -66,7 +65,7 @@ func TestSteadyIsNull(t *testing.T) {
 			if d := e.EffectiveDemand(r, tm); d != 1 {
 				t.Fatalf("steady EffectiveDemand(%d, %g) = %g", r, tm, d)
 			}
-			if e.RegionDown(r, tm) || e.MixShift(r, tm) != 0 {
+			if e.RegionDown(r, tm) {
 				t.Fatal("steady scenario modulated something")
 			}
 		}
@@ -91,9 +90,6 @@ func TestDiurnalWave(t *testing.T) {
 		}
 		if d > max {
 			max = d
-		}
-		if s := e.MixShift(0, tm); s < 0 || s > cfg.MixAmplitude+1e-12 {
-			t.Fatalf("MixShift(0, %g) = %g outside [0, %g]", tm, s, cfg.MixAmplitude)
 		}
 	}
 	if max-min < cfg.Amplitude {
@@ -199,7 +195,7 @@ func TestEngineIsPureAndSeedSensitive(t *testing.T) {
 	}
 	for tm := 0.0; tm <= 1200; tm += 7 {
 		for r := 0; r < 3; r++ {
-			if a.Demand(r, tm) != b.Demand(r, tm) || a.MixShift(r, tm) != b.MixShift(r, tm) {
+			if a.Demand(r, tm) != b.Demand(r, tm) {
 				t.Fatalf("same config, different engine output at (%d, %g)", r, tm)
 			}
 		}

@@ -112,9 +112,6 @@ type Config struct {
 	// Traffic.
 	OfferedRPS  float64
 	TickSeconds float64
-	// MixShift rotates the endpoint mix by a scenario phase
-	// (workload.Traffic.SetMixShift); 0 is the stationary mix.
-	MixShift float64
 
 	// JIT configuration.
 	JITOpts  jit.Options
@@ -338,9 +335,6 @@ func New(site *workload.Site, cfg Config) (*Server, error) {
 		reg:      reg,
 		mem:      microarch.New(cfg.MemCfg),
 		optTrans: map[string]*jit.Translation{},
-	}
-	if cfg.MixShift != 0 {
-		s.traffic.SetMixShift(cfg.MixShift)
 	}
 	if s.cfg.MicroSampleEvery <= 0 {
 		s.cfg.MicroSampleEvery = 1

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math"
-
-	"jumpstart/internal/value"
-)
+import "jumpstart/internal/value"
 
 // Request is one web request: an endpoint plus its argument.
 type Request struct {
@@ -20,20 +16,11 @@ type Request struct {
 // so different regions see genuinely different mixes; and a long tail
 // of rare endpoints keeps new code appearing for a long time.
 type Traffic struct {
-	site   *Site
 	r      *rng
 	cum    []float64 // cumulative endpoint weights
 	argR   *rng
 	region int
 	bucket int
-
-	// Mix-modulation state (see SetMixShift): the per-(region,
-	// endpoint) ranks the weights derive from, a second per-(region,
-	// endpoint) hash giving each endpoint its rotation direction, and
-	// the currently applied shift.
-	ranks   []float64
-	mixHash []float64
-	shift   float64
 }
 
 // SpillFraction is the share of traffic routed outside the preferred
@@ -44,7 +31,6 @@ const SpillFraction = 0.05
 // given stream seed.
 func (s *Site) NewTraffic(region, bucket int, seed uint64) *Traffic {
 	t := &Traffic{
-		site:   s,
 		r:      newRNG(seed ^ 0xabcdef),
 		argR:   newRNG(seed*31 + 7),
 		region: region,
@@ -52,68 +38,27 @@ func (s *Site) NewTraffic(region, bucket int, seed uint64) *Traffic {
 	}
 	// Region-dependent endpoint ranking: a per-(region, endpoint) hash
 	// produces the rank that flattens into a long-tailed weight. The
-	// mix hashes come from the same region-seeded stream, so both
-	// depend only on (region, endpoint) — never on the stream seed —
-	// which is what keeps every server of a (region, bucket) pair on
-	// an identical mix at every shift.
+	// ranks depend only on (region, endpoint) — never on the stream
+	// seed — which keeps every server of a (region, bucket) pair on an
+	// identical mix.
 	wr := newRNG(uint64(region)*1_000_003 + 17)
-	t.ranks = make([]float64, len(s.Endpoints))
-	for i := range t.ranks {
-		t.ranks[i] = wr.float()
-	}
-	t.mixHash = make([]float64, len(s.Endpoints))
-	for i := range t.mixHash {
-		t.mixHash[i] = wr.float()
-	}
 	t.cum = make([]float64, len(s.Endpoints))
-	t.rebuildMix()
-	return t
-}
-
-// rebuildMix recomputes the cumulative weights from the stored ranks
-// under the current mix shift. A shifted endpoint's effective rank is
-// its base rank rotated by shift·hash (mod 1): shift 0 reproduces the
-// stationary mix exactly, and any shift is a pure function of (region,
-// endpoints, shift) — deterministic, and identical across servers of
-// the same (region, bucket).
-func (t *Traffic) rebuildMix() {
-	s := t.site
 	total := 0.0
 	for i, ep := range s.Endpoints {
-		r := t.ranks[i]
-		if t.shift != 0 {
-			r += t.shift * t.mixHash[i]
-			r -= math.Floor(r)
-		}
+		r := wr.float()
 		// Flat-ish profile with a long tail: cubing the rank keeps
 		// most endpoints warm but leaves a tail of rarely-requested
 		// ones, which is what drives the paper's long C→D live-JIT
 		// phase (Figure 1) and the slow climb from 90% to peak.
 		w := 0.01 + r*r*r
-		if ep.Partition != t.bucket%maxInt(1, s.Config.Partitions) {
+		if ep.Partition != bucket%maxInt(1, s.Config.Partitions) {
 			w *= SpillFraction / float64(maxInt(1, s.Config.Partitions-1))
 		}
 		total += w
 		t.cum[i] = total
 	}
+	return t
 }
-
-// SetMixShift rotates the endpoint mix by shift (a scenario engine's
-// MixShift output): each endpoint's popularity rank moves by a
-// per-(region, endpoint) hash scaled by shift, so the hot set drifts
-// continuously with the scenario phase while the region-level mix
-// structure (own-bucket preference, long tail, cross-region
-// dissimilarity) is preserved. Shift 0 restores the stationary mix.
-func (t *Traffic) SetMixShift(shift float64) {
-	if shift == t.shift {
-		return
-	}
-	t.shift = shift
-	t.rebuildMix()
-}
-
-// MixShift returns the currently applied mix shift.
-func (t *Traffic) MixShift() float64 { return t.shift }
 
 func maxInt(a, b int) int {
 	if a > b {
