@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayInvalidation$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzArrayOps$$' -fuzztime 10s ./internal/value/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtTSP$$' -fuzztime 10s ./internal/layout/
+	$(GO) test -run '^$$' -fuzz '^FuzzProfDecode$$' -fuzztime 10s ./internal/prof/
 
 # Coverage gate: reports per-package coverage and enforces the floors
 # on internal/telemetry, internal/obs, internal/scenario and

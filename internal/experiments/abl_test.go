@@ -14,8 +14,8 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("PropLayout: decl=%.1f hot=%.1f aff=%.1f RPS; l1d decl=%.4f hot=%.4f aff=%.4f",
-		pl.DeclaredRPS, pl.HotnessRPS, pl.AffinityRPS, pl.DeclaredL1D, pl.HotnessL1D, pl.AffinityL1D)
+	t.Logf("PropLayout: decl=%.1f hot=%.1f RPS; l1d decl=%.4f hot=%.4f",
+		pl.DeclaredRPS, pl.HotnessRPS, pl.DeclaredL1D, pl.HotnessL1D)
 	bl, err := l.BlockLayout()
 	if err != nil {
 		t.Fatal(err)

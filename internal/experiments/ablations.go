@@ -55,23 +55,20 @@ func (l *Lab) FuncSort() (FuncSortAblation, error) {
 	}, nil
 }
 
-// PropLayoutAblation compares the three object-layout policies:
-// declared order (baseline), hotness order (the paper's Section V-C),
-// and affinity order (the paper's stated future work, implemented
-// here as an extension).
+// PropLayoutAblation compares the two object-layout policies:
+// declared order (baseline) and hotness order (the paper's Section V-C).
 type PropLayoutAblation struct {
-	DeclaredRPS, HotnessRPS, AffinityRPS float64
-	DeclaredL1D, HotnessL1D, AffinityL1D float64
+	DeclaredRPS, HotnessRPS float64
+	DeclaredL1D, HotnessL1D float64
 }
 
 // PropLayout runs the property-layout ablation.
 func (l *Lab) PropLayout() (PropLayoutAblation, error) {
-	measure := func(hotness, affinity bool) (server.SteadyStats, error) {
+	measure := func(hotness bool) (server.SteadyStats, error) {
 		cfg := l.Cfg.ServerCfg
 		cfg.Mode = server.ModeConsumer
 		cfg.Package = l.clonePkg()
 		cfg.UsePropertyOrder = hotness
-		cfg.UseAffinityOrder = affinity
 		s, err := server.New(l.Scenario.Site, cfg)
 		if err != nil {
 			return server.SteadyStats{}, err
@@ -81,19 +78,18 @@ func (l *Lab) PropLayout() (PropLayoutAblation, error) {
 		}
 		return s.MeasureSteady(l.Cfg.SteadyRequests), nil
 	}
-	policies := [][2]bool{{false, false}, {true, false}, {false, true}}
+	policies := []bool{false, true}
 	stats, err := parallel.MapErr(l.Cfg.Workers, len(policies), func(i int) (server.SteadyStats, error) {
-		return measure(policies[i][0], policies[i][1])
+		return measure(policies[i])
 	})
 	if err != nil {
 		return PropLayoutAblation{}, err
 	}
-	decl, hot, aff := stats[0], stats[1], stats[2]
+	decl, hot := stats[0], stats[1]
 	return PropLayoutAblation{
-		DeclaredRPS: decl.CapacityRPS, HotnessRPS: hot.CapacityRPS, AffinityRPS: aff.CapacityRPS,
+		DeclaredRPS: decl.CapacityRPS, HotnessRPS: hot.CapacityRPS,
 		DeclaredL1D: decl.Mem.L1DMissRate(),
 		HotnessL1D:  hot.Mem.L1DMissRate(),
-		AffinityL1D: aff.Mem.L1DMissRate(),
 	}, nil
 }
 

@@ -302,9 +302,6 @@ func Aggregate(profiles []*Profile) (*Profile, AggregateStats, error) {
 		for k, n := range p.Props {
 			out.Props[k] += scale(i, n)
 		}
-		for k, n := range p.PropPairs {
-			out.PropPairs[k] += scale(i, n)
-		}
 		for k, n := range p.CallPairs {
 			out.CallPairs[k] += scale(i, n)
 		}

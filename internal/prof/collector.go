@@ -26,13 +26,10 @@ type Collector struct {
 	calls  []map[uint64]uint64 // by FuncID; key = pc<<32 | callee FuncID
 	types  [][]typeSite        // by FuncID, then pc
 	props  map[string]uint64
-	pairs  map[PropPair]uint64
 
-	// propKeys/propDecls cache the declaring-class "K::P" string and
-	// the declaring class name per (class, flat slot), so OnPropAccess
-	// never rebuilds them.
-	propKeys  [][]string // by ClassID, then flat slot index
-	propDecls [][]string // by ClassID, then flat slot index
+	// propKeys caches the declaring-class "K::P" string per (class,
+	// flat slot), so OnPropAccess never rebuilds it.
+	propKeys [][]string // by ClassID, then flat slot index
 
 	unitOrder []string
 	unitSeen  map[string]bool
@@ -67,10 +64,6 @@ type typeSite struct {
 type frameState struct {
 	fn        *bytecode.Function
 	lastBlock int32
-	// lastPropClass/lastPropKey remember the previous property access
-	// in this activation, for affinity (co-access) counting.
-	lastPropClass string
-	lastPropKey   string
 }
 
 var _ interp.Tracer = (*Collector)(nil)
@@ -79,18 +72,16 @@ var _ interp.Tracer = (*Collector)(nil)
 func NewCollector(prog *bytecode.Program) *Collector {
 	n := len(prog.Funcs)
 	return &Collector{
-		prog:      prog,
-		entry:     make([]uint64, n),
-		blocks:    make([][]uint64, n),
-		edges:     make([][]edgeSite, n),
-		calls:     make([]map[uint64]uint64, n),
-		types:     make([][]typeSite, n),
-		props:     make(map[string]uint64),
-		pairs:     make(map[PropPair]uint64),
-		propKeys:  make([][]string, len(prog.Classes)),
-		propDecls: make([][]string, len(prog.Classes)),
-		unitSeen:  make(map[string]bool),
-		fnSeen:    make([]bool, n),
+		prog:     prog,
+		entry:    make([]uint64, n),
+		blocks:   make([][]uint64, n),
+		edges:    make([][]edgeSite, n),
+		calls:    make([]map[uint64]uint64, n),
+		types:    make([][]typeSite, n),
+		props:    make(map[string]uint64),
+		propKeys: make([][]string, len(prog.Classes)),
+		unitSeen: make(map[string]bool),
+		fnSeen:   make([]bool, n),
 	}
 }
 
@@ -177,28 +168,14 @@ func (c *Collector) OnPropAccess(obj *object.Object, slot int, write bool) {
 	if keys == nil {
 		keys = make([]string, len(rc.DeclaredProps()))
 		c.propKeys[cid] = keys
-		c.propDecls[cid] = make([]string, len(rc.DeclaredProps()))
 	}
 	decl := rc.DeclIndex(slot)
 	key := keys[decl]
-	cls := c.propDecls[cid][decl]
 	if key == "" {
-		cls = c.declaringClass(rc.Meta, decl)
-		key = cls + "::" + rc.DeclaredProps()[decl].Name
+		key = c.declaringClass(rc.Meta, decl) + "::" + rc.DeclaredProps()[decl].Name
 		keys[decl] = key
-		c.propDecls[cid][decl] = cls
 	}
 	c.props[key]++
-	// Affinity: consecutive accesses to two different properties of
-	// the same class within one activation.
-	if n := len(c.stack); n > 0 {
-		top := &c.stack[n-1]
-		if top.lastPropClass == cls && top.lastPropKey != key && top.lastPropKey != "" {
-			c.pairs[MakePropPair(top.lastPropKey, key)]++
-		}
-		top.lastPropClass = cls
-		top.lastPropKey = key
-	}
 }
 
 // declaringClass finds the class in cls's ancestry that declared the
@@ -306,9 +283,6 @@ func (c *Collector) Snapshot(meta Meta) *Profile {
 	}
 	for k, n := range c.props {
 		p.Props[k] = n
-	}
-	for k, n := range c.pairs {
-		p.PropPairs[k] = n
 	}
 	return p
 }

@@ -15,7 +15,7 @@ import (
 // for package checksums and test golden files).
 var magic = []byte("JSPKG")
 
-const formatVersion = 1
+const formatVersion = 2
 
 // Decode limits. A corrupt or malicious package must not OOM a
 // consumer (Section VI-A3 requires surviving corrupted packages).
@@ -75,7 +75,10 @@ func (d *decoder) count() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if n > maxCount {
+	// Every element takes at least one byte, so a count larger than
+	// the bytes left is corrupt; rejecting it before callers presize
+	// bounds the allocation by the package's own size.
+	if n > maxCount || n > uint64(len(d.buf)-d.off) {
 		return 0, ErrCorrupt
 	}
 	return int(n), nil
@@ -189,24 +192,6 @@ func (p *Profile) Encode() []byte {
 	for _, k := range pkeys {
 		e.str(k)
 		e.u64(p.Props[k])
-	}
-
-	// Property affinity pairs sorted by (A, B).
-	pps := make([]PropPair, 0, len(p.PropPairs))
-	for k := range p.PropPairs {
-		pps = append(pps, k)
-	}
-	sort.Slice(pps, func(i, j int) bool {
-		if pps[i].A != pps[j].A {
-			return pps[i].A < pps[j].A
-		}
-		return pps[i].B < pps[j].B
-	})
-	e.u64(uint64(len(pps)))
-	for _, k := range pps {
-		e.str(k.A)
-		e.str(k.B)
-		e.u64(p.PropPairs[k])
 	}
 
 	// Call pairs sorted by caller, callee.
@@ -452,24 +437,6 @@ func Decode(data []byte) (p *Profile, err error) {
 			return nil, err
 		}
 		if p.Props[k], err = d.u64(); err != nil {
-			return nil, err
-		}
-	}
-
-	npp, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < npp; i++ {
-		a, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		bb, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if p.PropPairs[PropPair{A: a, B: bb}], err = d.u64(); err != nil {
 			return nil, err
 		}
 	}

@@ -257,18 +257,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if q.CallPairs[CallPair{"work", "tally"}] != 110 {
 		t.Fatal("call pairs")
 	}
-	if len(p.PropPairs) == 0 {
-		t.Fatal("collector recorded no property affinities")
-	}
-	if len(q.PropPairs) != len(p.PropPairs) {
-		t.Fatalf("prop pairs lost in round trip: %d vs %d",
-			len(q.PropPairs), len(p.PropPairs))
-	}
-	for k, v := range p.PropPairs {
-		if q.PropPairs[k] != v {
-			t.Fatalf("prop pair %v mismatch", k)
-		}
-	}
 	if len(q.FuncOrder) != 2 || q.FuncOrder[0] != "tally" {
 		t.Fatalf("func order = %v", q.FuncOrder)
 	}
@@ -317,6 +305,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad[5] = 99
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("bad version accepted")
+	}
+	// A version-1 package carried a property-pair section this format
+	// no longer has; its payload must be rejected, not parsed with the
+	// later sections shifted. The CRC covers only the payload, so it
+	// still matches.
+	bad = append([]byte{}, good...)
+	bad[5] = 1
+	if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 package: got %v, want ErrCorrupt", err)
 	}
 	// Trailing garbage after the CRC word: the checksum does not cover
 	// it, so the strict framing check must reject it as corruption.
@@ -389,28 +386,6 @@ func TestChecksumDetectsCodeChange(t *testing.T) {
 	}
 }
 
-func TestSectionSizes(t *testing.T) {
-	col, _ := profiledRun(t, 50)
-	p := col.Snapshot(Meta{})
-	p.FuncOrder = []string{"work", "tally"}
-	p.Funcs["work"].VasmCounts = []uint64{1, 2, 3, 4}
-	p.CallPairs[CallPair{"work", "tally"}] = 50
-	s := p.Sections()
-	if s.Total != len(p.Encode()) {
-		t.Fatalf("total = %d, want %d", s.Total, len(p.Encode()))
-	}
-	if s.TierOneProfile <= 0 {
-		t.Fatalf("tier-1 section = %d", s.TierOneProfile)
-	}
-	if s.PreloadList <= 0 || s.OptimizedProfile <= 0 || s.Intermediate <= 0 {
-		t.Fatalf("sections = %+v", s)
-	}
-	// Tier-1 counters dominate this package.
-	if s.TierOneProfile < s.Intermediate {
-		t.Fatalf("unexpected dominance: %+v", s)
-	}
-}
-
 // Property: arbitrary well-formed profiles survive an encode/decode
 // round trip exactly.
 func TestPropRandomProfileRoundTrip(t *testing.T) {
@@ -466,9 +441,6 @@ func TestPropRandomProfileRoundTrip(t *testing.T) {
 		}
 		for i := 0; i < int(next()%5); i++ {
 			p.Props[str()] = next() % 10000
-		}
-		for i := 0; i < int(next()%4); i++ {
-			p.PropPairs[MakePropPair(str(), str())] = next() % 10000
 		}
 		for i := 0; i < int(next()%4); i++ {
 			p.CallPairs[CallPair{Caller: str(), Callee: str()}] = next() % 10000

@@ -10,7 +10,8 @@
 //     type feedback) keyed by function name + bytecode checksum;
 //  3. profile data for the optimized code (Vasm block counters and the
 //     accurate tier-2 caller/callee graph of Sections V-A/V-B, plus
-//     property-access counters for V-C);
+//     the property-access counts whose hotness orders object
+//     properties in V-C);
 //  4. intermediate JIT results (the precomputed function order).
 package prof
 
@@ -28,23 +29,6 @@ type EdgeKey struct {
 // CallPair is a caller→callee pair in the tier-2 call graph.
 type CallPair struct {
 	Caller, Callee string
-}
-
-// PropPair is an unordered pair of property keys ("Class::prop") that
-// were accessed adjacently. A < B canonically. Pair affinities drive
-// the affinity-based object layout — the extension the paper's
-// Section V-C leaves as future work ("using the affinity of the
-// fields/properties to decide on their order").
-type PropPair struct {
-	A, B string
-}
-
-// MakePropPair canonicalizes the pair ordering.
-func MakePropPair(x, y string) PropPair {
-	if x > y {
-		x, y = y, x
-	}
-	return PropPair{A: x, B: y}
 }
 
 // FuncProfile aggregates all profile data for one function.
@@ -84,9 +68,6 @@ type Profile struct {
 	Funcs map[string]*FuncProfile
 	// Props holds property-access counts keyed "Class::prop" (V-C).
 	Props map[string]uint64
-	// PropPairs holds adjacency (affinity) counts between properties
-	// of the same class (the V-C future-work extension).
-	PropPairs map[PropPair]uint64
 	// CallPairs is the accurate tier-2 call graph (V-B). Unlike the
 	// tier-1 call-target profiles, these are collected from optimized
 	// code with inlining applied.
@@ -115,7 +96,6 @@ func NewProfile() *Profile {
 	return &Profile{
 		Funcs:     make(map[string]*FuncProfile),
 		Props:     make(map[string]uint64),
-		PropPairs: make(map[PropPair]uint64),
 		CallPairs: make(map[CallPair]uint64),
 	}
 }
@@ -314,9 +294,6 @@ func (p *Profile) MergeInto(dst *Profile) {
 	}
 	for k, n := range p.Props {
 		dst.Props[k] += n
-	}
-	for k, n := range p.PropPairs {
-		dst.PropPairs[k] += n
 	}
 	for k, n := range p.CallPairs {
 		dst.CallPairs[k] += n

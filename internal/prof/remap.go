@@ -159,11 +159,6 @@ func Remap(p *Profile, from, to *bytecode.Program, newRevision int64) (*Profile,
 			out.Props[k] = n
 		}
 	}
-	for k, n := range p.PropPairs {
-		if propClassExists(k.A, to) && propClassExists(k.B, to) {
-			out.PropPairs[k] = n
-		}
-	}
 
 	// Tier-2 call graph: follow renames, drop arcs to dead functions.
 	for pair, n := range p.CallPairs {

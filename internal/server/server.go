@@ -169,10 +169,6 @@ type Config struct {
 	// UsePropertyOrder applies the package's property-access counters
 	// to object layout (Section V-C).
 	UsePropertyOrder bool
-	// UseAffinityOrder additionally uses the package's property-pair
-	// affinities (the Section V-C future-work extension); it implies
-	// and overrides UsePropertyOrder.
-	UseAffinityOrder bool
 
 	// MaxQueue bounds the arrival queue (requests beyond it are
 	// dropped — lost capacity).
@@ -312,17 +308,8 @@ func New(site *workload.Site, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	var layout object.Layout
-	if cfg.Mode == ModeConsumer && cfg.Package != nil {
-		switch {
-		case cfg.UseAffinityOrder:
-			pairs := make(map[[2]string]uint64, len(cfg.Package.PropPairs))
-			for k, n := range cfg.Package.PropPairs {
-				pairs[[2]string{k.A, k.B}] = n
-			}
-			layout = object.AffinityLayout(site.Prog, cfg.Package.Props, pairs)
-		case cfg.UsePropertyOrder:
-			layout = object.HotnessLayout(site.Prog, cfg.Package.Props)
-		}
+	if cfg.Mode == ModeConsumer && cfg.Package != nil && cfg.UsePropertyOrder {
+		layout = object.HotnessLayout(site.Prog, cfg.Package.Props)
 	}
 	reg, err := object.NewRegistry(site.Prog, layout)
 	if err != nil {
