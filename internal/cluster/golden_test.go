@@ -181,8 +181,8 @@ var goldenDigests = map[string]struct{ sim, trace string }{
 		trace: "12b228e68ee6e1d040b389e0",
 	},
 	"outage-multistore": {
-		sim:   "2e87a911e0ecd2b167743398",
-		trace: "0577c08c5ec06a65549326bc",
+		sim:   "69ab6c6c16a4ea2ab07a4d08",
+		trace: "8c981abf7b7b25b9da6d7dcf",
 	},
 	"defects-transport": {
 		sim:   "bb9e82c8517eca246dd17fe0",
