@@ -234,7 +234,8 @@ func run(args []string, stdout io.Writer) error {
 		// No mutated-site measurement requested: carry every package.
 		fcfg.RemapHitRate = 1
 	}
-	if *useTransport || *brownStart > 0 || *netLatency > 0 {
+	// The multi-region store rides on the same transport config.
+	if *useTransport || *brownStart > 0 || *netLatency > 0 || *replicas > 0 {
 		net := netsim.Config{BaseLatency: *netLatency}
 		if *brownStart > 0 && *brownSecs > 0 {
 			net.Faults = append(net.Faults,
@@ -266,14 +267,6 @@ func run(args []string, stdout io.Writer) error {
 		fcfg.CurveMismatch = jsCurve.Stretch(*geomStretch)
 	}
 	if *replicas > 0 {
-		if fcfg.Transport == nil {
-			ccfg := transport.DefaultClientConfig()
-			ccfg.Budget = *fetchBudget
-			fcfg.Transport = &cluster.TransportConfig{
-				Net:    netsim.Config{BaseLatency: *netLatency},
-				Client: ccfg,
-			}
-		}
 		fcfg.Transport.Multi = &cluster.MultiConfig{
 			NodesPerRegion:   *storeNodes,
 			Replicas:         *replicas,
@@ -336,17 +329,8 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "# fallback reason: %q x%d\n", rc.Reason, rc.Count)
 	}
 
-	if *spansPath != "" {
-		check := obs.ValidateSpans(tel.Trace.Events())
-		status := "OK"
-		if !check.OK() {
-			status = fmt.Sprintf("%d VIOLATIONS", len(check.Violations))
-		}
-		fmt.Fprintf(stdout, "# spans: %d spans, %d instants, %d roots, %d orphans — %s\n",
-			check.Spans, check.Instants, check.Roots, check.Orphans, status)
-		if err := tel.ExportSpans(*spansPath); err != nil {
-			return err
-		}
+	if err := obs.ExportSpans(tel, *spansPath, stdout); err != nil {
+		return err
 	}
 	return tel.ExportFiles(*tracePath, *metricsPath, *cycleProf, "fleetsim")
 }

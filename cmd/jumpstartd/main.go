@@ -143,7 +143,7 @@ func run(args []string, stdout io.Writer) error {
 		if err := runStoreServer(*serveStore, *serveSeconds, *pkgPath, *region, *bucket, tel, stdout); err != nil {
 			return err
 		}
-		if err := exportSpans(tel, *spansPath, stdout); err != nil {
+		if err := obs.ExportSpans(tel, *spansPath, stdout); err != nil {
 			return err
 		}
 		return tel.ExportFiles(*tracePath, *metricsPath, *cycleProf, "jumpstartd")
@@ -278,7 +278,7 @@ func run(args []string, stdout io.Writer) error {
 			if *revision != 0 {
 				pkg.Meta.Revision = int64(*revision)
 			}
-			cli := storeClient(*storeURL, *fetchBudget, *seed, tel)
+			cli := storeClient(*storeURL, *fetchBudget, *seed, transport.NewWallClock(), tel)
 			id, err := cli.Publish(*region, *bucket, *revision, pkg.Encode())
 			if err != nil {
 				return fmt.Errorf("publish to %s: %w", *storeURL, err)
@@ -288,27 +288,10 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if err := exportSpans(tel, *spansPath, stdout); err != nil {
+	if err := obs.ExportSpans(tel, *spansPath, stdout); err != nil {
 		return err
 	}
 	return tel.ExportFiles(*tracePath, *metricsPath, *cycleProf, "jumpstartd")
-}
-
-// exportSpans validates the recorded span trees (duration conservation,
-// no orphans) and writes them to path — Chrome trace_event when it ends
-// in .json, JSONL otherwise. No-op when path is empty.
-func exportSpans(tel *telemetry.Set, path string, stdout io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	check := obs.ValidateSpans(tel.Trace.Events())
-	status := "OK"
-	if !check.OK() {
-		status = fmt.Sprintf("%d VIOLATIONS", len(check.Violations))
-	}
-	fmt.Fprintf(stdout, "# spans: %d spans, %d instants, %d roots, %d orphans — %s\n",
-		check.Spans, check.Instants, check.Roots, check.Orphans, status)
-	return tel.ExportSpans(path)
 }
 
 // mergePackages decodes the comma-separated seeder package files, merges
@@ -349,14 +332,13 @@ func mergePackages(list, outPath string, stdout io.Writer) (*prof.Profile, error
 }
 
 // storeClient builds a retrying transport client against a real store
-// over HTTP, with the wall clock driving timeouts and the per-boot
+// over HTTP, with the wall clock driving timeouts and the per-fetch
 // deadline budget.
-func storeClient(url string, budget float64, seed uint64, tel *telemetry.Set) *transport.Client {
+func storeClient(url string, budget float64, seed uint64, wall *transport.WallClock, tel *telemetry.Set) *transport.Client {
 	ccfg := transport.DefaultClientConfig()
 	ccfg.Budget = budget
 	ccfg.Seed = seed
-	cli := transport.NewClient(transport.NewHTTPConn(url, ccfg.RPCTimeout),
-		transport.NewWallClock(), ccfg)
+	cli := transport.NewClient(transport.NewHTTPConn(url, ccfg.RPCTimeout), wall, ccfg)
 	cli.SetTelemetry(tel)
 	return cli
 }
@@ -376,11 +358,7 @@ func bootFromStore(site *workload.Site, cfg server.Config, url string,
 	// protocol: the boot span and its nested fetch spans must share a
 	// timebase or the children would escape the parent's window.
 	wall := transport.NewWallClock()
-	ccfg := transport.DefaultClientConfig()
-	ccfg.Budget = budget
-	ccfg.Seed = seed
-	cli := transport.NewClient(transport.NewHTTPConn(url, ccfg.RPCTimeout), wall, ccfg)
-	cli.SetTelemetry(tel)
+	cli := storeClient(url, budget, seed, wall, tel)
 	var pager *transport.LazyPager
 	if wmode == jumpstart.WarmupLazy {
 		pager = transport.NewLazyPager(cli, nil, cfg.ClockHz)
@@ -392,7 +370,6 @@ func bootFromStore(site *workload.Site, cfg server.Config, url string,
 		Telem:    tel,
 		Clock:    wall.Now,
 		Revision: revision,
-		Warmup:   wmode,
 		Rand: func() uint64 {
 			rnd = rnd*6364136223846793005 + 1442695040888963407
 			return rnd

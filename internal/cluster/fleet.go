@@ -286,8 +286,8 @@ type simServer struct {
 	crashAt    float64 // absolute time of impending crash, 0 = none
 	usedJS     bool
 	fellBack   bool
+	fbReason   jumpstart.Fallback // why the last boot skipped Jump-Start (FallbackNone = it didn't)
 	everCrashd int
-	fbReason   string // why the last boot skipped Jump-Start ("" = it didn't)
 
 	// Causal span state: the open boot span (0 = none) and the time the
 	// boot began. The span opens in bootServer and closes — always from
@@ -349,7 +349,7 @@ type Fleet struct {
 	boots     [numFlavours]int // Jump-Start boots booked per flavour (bookFlavours)
 	pkgsKept  int              // packages carried across pushes by the remapper
 	pkgsLost  int              // packages dropped at a push (remap miss or exact-only wipe)
-	fbReasons map[string]int
+	fbReasons [jumpstart.NumFallbacks]int
 
 	// Scenario accounting. regionCap is per-tick scratch; everything
 	// else is touched only from sequential code, so scenarios never
@@ -422,7 +422,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		cfg:       cfg,
 		packages:  make(map[[2]int][]pkgInfo),
 		rng:       cfg.Seed*2862933555777941757 + 3037000493,
-		fbReasons: make(map[string]int),
 		revision:  1,
 		poolAvail: cfg.PoolSize,
 		tel:       cfg.Telem,
@@ -1058,7 +1057,7 @@ func (f *Fleet) stopServer(s *simServer) {
 	s.pkg = -1
 	s.attempts = 0
 	s.crashAt = 0
-	s.fbReason = ""
+	s.fbReason = jumpstart.FallbackNone
 }
 
 // closeBootSpan closes a server's open boot span, if any: the boot
@@ -1129,9 +1128,9 @@ func (f *Fleet) bootServer(s *simServer) {
 		// Not counted as a fallback (there was nothing to fall back
 		// from), but recorded so a post-run audit can tell "never
 		// needed Jump-Start" from "wanted it, got nothing".
-		s.fbReason = "no package available"
+		s.fbReason = jumpstart.FallbackNoPackage
 	case s.attempts >= f.cfg.MaxJSAttempts:
-		f.fallback(s, "max attempts exceeded")
+		f.fallback(s, jumpstart.FallbackMaxAttempts)
 	default:
 		// Avoid the exact package that just crashed us when
 		// alternatives exist.
@@ -1148,7 +1147,7 @@ func (f *Fleet) bootServer(s *simServer) {
 		s.attempts++
 		s.stateT = f.now + got.elapsed
 		f.failovers += got.failovers
-		if got.reason != "" {
+		if got.reason != jumpstart.FallbackNone {
 			f.fallback(s, got.reason)
 			break
 		}
@@ -1168,7 +1167,7 @@ func (f *Fleet) bootServer(s *simServer) {
 		f.bookFlavours(applies, chosen)
 		s.pkg = got.idx
 		s.usedJS = true
-		s.fbReason = ""
+		s.fbReason = jumpstart.FallbackNone
 		s.state = stWarming
 		s.curve = f.curves[chosen]
 		if info.defective {
@@ -1211,7 +1210,7 @@ func (f *Fleet) bookFlavours(applies flavourSet, chosen flavour) {
 }
 
 // fallback books a no-Jump-Start fallback with its reason.
-func (f *Fleet) fallback(s *simServer, reason string) {
+func (f *Fleet) fallback(s *simServer, reason jumpstart.Fallback) {
 	f.fallbacks++
 	s.fellBack = true
 	s.fbReason = reason
@@ -1221,7 +1220,7 @@ func (f *Fleet) fallback(s *simServer, reason string) {
 		telemetry.I("region", int64(s.region)),
 		telemetry.I("bucket", int64(s.bucket)),
 		telemetry.I("attempts", int64(s.attempts)),
-		telemetry.S("reason", reason))
+		telemetry.S("reason", reason.String()))
 }
 
 // publishFrom hands the package a seeder collected to the source,
@@ -1341,18 +1340,20 @@ func (f *Fleet) Propagation() (transferred, failed int) { return f.propOK, f.pro
 
 // ReasonCount is one fallback reason with its occurrence count.
 type ReasonCount struct {
-	Reason string
+	Reason jumpstart.Fallback
 	Count  int
 }
 
 // FallbackReasons returns the counted fallback reasons sorted by
-// reason string, so the output is stable for summaries and diffs.
+// reason text, so the output is stable for summaries and diffs.
 func (f *Fleet) FallbackReasons() []ReasonCount {
-	out := make([]ReasonCount, 0, len(f.fbReasons))
+	var out []ReasonCount
 	for r, n := range f.fbReasons {
-		out = append(out, ReasonCount{Reason: r, Count: n})
+		if n > 0 {
+			out = append(out, ReasonCount{Reason: jumpstart.Fallback(r), Count: n})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Reason < out[j].Reason })
+	sort.Slice(out, func(i, j int) bool { return out[i].Reason.String() < out[j].Reason.String() })
 	return out
 }
 
@@ -1361,7 +1362,7 @@ type ServerOutcome struct {
 	Group    int
 	UsedJS   bool
 	FellBack bool
-	Reason   string // last boot's no-Jump-Start reason, "" if it jump-started
+	Reason   jumpstart.Fallback // last boot's no-Jump-Start reason, FallbackNone if it jump-started
 	Crashes  int
 }
 

@@ -65,10 +65,10 @@ func newSource(f *Fleet) packageSource {
 
 // fetched is the outcome of one packageSource.fetch.
 type fetched struct {
-	idx       int     // index into the bucket list; -1 on failure or when the package has no local record
-	elapsed   float64 // virtual seconds the fetch burned
-	failovers int     // replica legs that failed before the fetch was served
-	reason    string  // why the fetch failed ("" = it succeeded)
+	idx       int                // index into the bucket list; -1 on failure or when the package has no local record
+	elapsed   float64            // virtual seconds the fetch burned
+	failovers int                // replica legs that failed before the fetch was served
+	reason    jumpstart.Fallback // why the fetch failed (FallbackNone = it succeeded)
 }
 
 // fetchSecondsBounds buckets per-boot fetch time (virtual seconds).
@@ -370,8 +370,8 @@ func (m *multiSource) step() (transferred, failed int) {
 }
 
 // fetch walks the region's replica set in deterministic failover
-// order; a fully exhausted walk fails with the distinct "replica
-// failover exhausted" reason.
+// order; a fully exhausted walk (ErrExhausted, the only error Fetch
+// returns) fails with the distinct FallbackReplicasExhausted.
 func (m *multiSource) fetch(s *simServer, rnd uint64, list []pkgInfo, avoid int) fetched {
 	var exclude []*multistore.Entry
 	if avoid >= 0 {
@@ -383,7 +383,7 @@ func (m *multiSource) fetch(s *simServer, rnd uint64, list []pkgInfo, avoid int)
 	got := fetched{idx: -1, elapsed: res.Elapsed, failovers: res.Failovers}
 	m.f.tel.Histogram("fleet.fetch_seconds", fetchSecondsBounds).Observe(res.Elapsed)
 	if err != nil {
-		got.reason = m.h.FetchFailure()
+		got.reason = jumpstart.FallbackReplicasExhausted
 	} else {
 		got.idx = slices.IndexFunc(list, func(p pkgInfo) bool { return p.entry == res.Entry })
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"jumpstart/internal/jumpstart"
 	"jumpstart/internal/jumpstart/transport"
 	"jumpstart/internal/netsim"
 	"jumpstart/internal/telemetry"
@@ -113,7 +114,7 @@ func TestFleetBrownoutDeterminism(t *testing.T) {
 	// nothing.
 	budgetFallbacks := 0
 	for _, rc := range base.fallbacks {
-		if rc.Reason == "fetch budget exhausted" {
+		if rc.Reason == jumpstart.FallbackFetchBudget {
 			budgetFallbacks = rc.Count
 		}
 	}
@@ -124,7 +125,7 @@ func TestFleetBrownoutDeterminism(t *testing.T) {
 		if o.Crashes != 0 {
 			t.Fatalf("server %d crashed during brownout", i)
 		}
-		if o.Group != 2 && !o.UsedJS && o.Reason == "" {
+		if o.Group != 2 && !o.UsedJS && o.Reason == jumpstart.FallbackNone {
 			t.Fatalf("server %d (group %d) booted without Jump-Start and without a recorded reason", i, o.Group)
 		}
 	}
@@ -169,7 +170,7 @@ func TestTransportPublishFailureDegrades(t *testing.T) {
 		if o.UsedJS {
 			js++
 		}
-		if o.Group != 2 && !o.UsedJS && o.Reason == "" {
+		if o.Group != 2 && !o.UsedJS && o.Reason == jumpstart.FallbackNone {
 			t.Fatalf("server %d skipped Jump-Start silently", i)
 		}
 	}

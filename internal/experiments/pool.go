@@ -208,13 +208,7 @@ func (l *Lab) pool() (PoolResult, error) {
 	// package fetch through the fleet transport; lazy boots replay the
 	// lazy curve measured under the matching fabric.
 	c3 := l.Cfg.FleetCfg.C1Hold + l.Cfg.FleetCfg.C2Hold
-	type crossRun struct {
-		loss    float64
-		classes []obs.Classification
-		bootLat []float64
-		reasons []cluster.ReasonCount
-	}
-	crossRuns, err := parallel.MapErr(l.Cfg.Workers, len(poolCrossRegimes), func(i int) (crossRun, error) {
+	crossRuns, err := parallel.MapErr(l.Cfg.Workers, len(poolCrossRegimes), func(i int) (fleetObs, error) {
 		rg := poolCrossRegimes[i]
 		f, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
 			cfg.RecordSeries = true
@@ -239,17 +233,9 @@ func (l *Lab) pool() (PoolResult, error) {
 			cfg.Transport = tc
 		})
 		if err != nil {
-			return crossRun{}, err
+			return fleetObs{}, err
 		}
-		run := crossRun{
-			loss:    cluster.CapacityLoss(ticks, dt),
-			bootLat: f.BootLatencies(),
-			reasons: f.FallbackReasons(),
-		}
-		for _, xs := range f.WarmupSeries() {
-			run.classes = append(run.classes, obs.Classify(xs, dt))
-		}
-		return run, nil
+		return observeFleet(f, dt, cluster.CapacityLoss(ticks, dt)), nil
 	})
 	if err != nil {
 		return PoolResult{}, err
@@ -260,17 +246,7 @@ func (l *Lab) pool() (PoolResult, error) {
 			Name: poolCrossRegimes[i].name,
 			Loss: run.loss,
 		})
-		rg := res.Report.Regime(poolCrossRegimes[i].name)
-		for _, c := range run.classes {
-			rg.AddClassification(c)
-		}
-		for _, lat := range run.bootLat {
-			rg.AddBootLatency(lat)
-		}
-		for _, rc := range run.reasons {
-			rg.AddFallback(rc.Reason, rc.Count)
-		}
-		rg.SetCapacityLoss(run.loss)
+		run.addTo(res.Report.Regime(poolCrossRegimes[i].name))
 	}
 	return res, nil
 }
@@ -294,16 +270,5 @@ func (l *Lab) WritePool(w io.Writer) error {
 	for _, c := range res.Crossover {
 		fmt.Fprintf(w, "%s,%.2f\n", c.Name, c.Loss*100)
 	}
-	slo := l.WarmclassSLO()
-	fmt.Fprintf(w, "# slo: boot-p99 <= %.0fs, time-to-steady-p95 <= %.0fs, capacity-loss <= %.0f%%\n",
-		slo.BootP99, slo.TimeToSteadyP95, slo.CapacityLoss*100)
-	if err := res.Report.WriteText(w); err != nil {
-		return err
-	}
-	status := "PASS"
-	if !res.Report.Passed() {
-		status = "FAIL"
-	}
-	fmt.Fprintf(w, "# overall: %s\n\n", status)
-	return nil
+	return l.writeSLOReport(w, res.Report)
 }

@@ -6,5 +6,5 @@ package experiments
 // detector's ~10x slowdown on top of the quick-scale suite blows past
 // go test's default 10-minute package timeout on single-core CI
 // hosts. The shape assertions hold at the reduced scale; full-scale
-// numbers come from non-race runs and testdata/experiments_full.out.
+// numbers come from non-race runs of cmd/experiments.
 const raceEnabled = true

@@ -203,10 +203,8 @@ func (l *Lab) scenarioFig() (ScenarioResult, error) {
 
 	// Part 1 — scenario grid: each kind with Jump-Start on and off.
 	type gridRun struct {
-		cell    ScenarioCell
-		classes []obs.Classification
-		bootLat []float64
-		reasons []cluster.ReasonCount
+		cell ScenarioCell
+		fleetObs
 	}
 	horizon := 6 * l.Cfg.Horizon
 	dt := l.Cfg.FleetCfg.TickSeconds
@@ -229,21 +227,17 @@ func (l *Lab) scenarioFig() (ScenarioResult, error) {
 		if err != nil {
 			return gridRun{}, err
 		}
-		run := gridRun{
+		scenLoss := cluster.ScenarioCapacityLoss(ticks, dt)
+		return gridRun{
 			cell: ScenarioCell{
 				Kind:      kind.String(),
 				JumpStart: js,
 				Loss:      cluster.CapacityLoss(ticks, dt),
-				ScenLoss:  cluster.ScenarioCapacityLoss(ticks, dt),
+				ScenLoss:  scenLoss,
 				Stats:     f.ScenarioStats(),
 			},
-			bootLat: f.BootLatencies(),
-			reasons: f.FallbackReasons(),
-		}
-		for _, xs := range f.WarmupSeries() {
-			run.classes = append(run.classes, obs.Classify(xs, dt))
-		}
-		return run, nil
+			fleetObs: observeFleet(f, dt, scenLoss),
+		}, nil
 	})
 	if err != nil {
 		return ScenarioResult{}, err
@@ -255,17 +249,7 @@ func (l *Lab) scenarioFig() (ScenarioResult, error) {
 		if run.cell.JumpStart {
 			name = run.cell.Kind + "-js"
 		}
-		rg := res.Report.Regime(name)
-		for _, c := range run.classes {
-			rg.AddClassification(c)
-		}
-		for _, lat := range run.bootLat {
-			rg.AddBootLatency(lat)
-		}
-		for _, rc := range run.reasons {
-			rg.AddFallback(rc.Reason, rc.Count)
-		}
-		rg.SetCapacityLoss(run.cell.ScenLoss)
+		run.addTo(res.Report.Regime(name))
 	}
 
 	// Part 2 — heterogeneous hardware.
@@ -298,16 +282,5 @@ func (l *Lab) WriteScenario(w io.Writer) error {
 		g.MatchedT95, g.MismatchT95)
 	fmt.Fprintf(w, "# geometry fleet: uniform loss %.2f%%, two-class loss %.2f%% (%d mismatch boots, census %v)\n",
 		g.UniformLoss*100, g.MixedLoss*100, g.MixedStats.MismatchBoots, g.Census)
-	slo := l.WarmclassSLO()
-	fmt.Fprintf(w, "# slo: boot-p99 <= %.0fs, time-to-steady-p95 <= %.0fs, capacity-loss <= %.0f%%\n",
-		slo.BootP99, slo.TimeToSteadyP95, slo.CapacityLoss*100)
-	if err := res.Report.WriteText(w); err != nil {
-		return err
-	}
-	status := "PASS"
-	if !res.Report.Passed() {
-		status = "FAIL"
-	}
-	fmt.Fprintf(w, "# overall: %s\n\n", status)
-	return nil
+	return l.writeSLOReport(w, res.Report)
 }

@@ -33,14 +33,44 @@ var warmclassRegimes = []struct {
 	}},
 }
 
-// warmclassRun is one regime's raw observations before they roll into
-// the report.
-type warmclassRun struct {
+// fleetObs is one finished fleet's SLO observations, gathered on the
+// worker that ran it; addTo rolls them into a report regime.
+type fleetObs struct {
 	classes []obs.Classification
 	bootLat []float64
 	reasons []cluster.ReasonCount
 	loss    float64
-	check   obs.SpanCheck
+}
+
+// observeFleet classifies every server's recorded warmup series (the
+// fleet ran with Config.RecordSeries) and keeps its boot latencies,
+// fallback tally and the given capacity loss.
+func observeFleet(f *cluster.Fleet, dt, loss float64) fleetObs {
+	o := fleetObs{bootLat: f.BootLatencies(), reasons: f.FallbackReasons(), loss: loss}
+	for _, xs := range f.WarmupSeries() {
+		o.classes = append(o.classes, obs.Classify(xs, dt))
+	}
+	return o
+}
+
+// addTo feeds the observations into rg.
+func (o fleetObs) addTo(rg *obs.Regime) {
+	for _, c := range o.classes {
+		rg.AddClassification(c)
+	}
+	for _, lat := range o.bootLat {
+		rg.AddBootLatency(lat)
+	}
+	for _, rc := range o.reasons {
+		rg.AddFallback(rc.Reason.String(), rc.Count)
+	}
+	rg.SetCapacityLoss(o.loss)
+}
+
+// warmclassRun is one regime's observations plus its span check.
+type warmclassRun struct {
+	fleetObs
+	check obs.SpanCheck
 }
 
 // WarmclassResult is the changepoint warmup-classification figure: each
@@ -91,16 +121,10 @@ func (l *Lab) warmclass() (WarmclassResult, error) {
 			return warmclassRun{}, err
 		}
 		dt := l.Cfg.FleetCfg.TickSeconds
-		run := warmclassRun{
-			bootLat: f.BootLatencies(),
-			reasons: f.FallbackReasons(),
-			loss:    cluster.CapacityLoss(ticks, dt),
-			check:   obs.ValidateSpans(tel.Trace.Events()),
-		}
-		for _, xs := range f.WarmupSeries() {
-			run.classes = append(run.classes, obs.Classify(xs, dt))
-		}
-		return run, nil
+		return warmclassRun{
+			fleetObs: observeFleet(f, dt, cluster.CapacityLoss(ticks, dt)),
+			check:    obs.ValidateSpans(tel.Trace.Events()),
+		}, nil
 	})
 	if err != nil {
 		return WarmclassResult{}, err
@@ -108,17 +132,7 @@ func (l *Lab) warmclass() (WarmclassResult, error) {
 
 	res := WarmclassResult{Report: obs.NewReport(l.WarmclassSLO())}
 	for i, run := range runs {
-		rg := res.Report.Regime(warmclassRegimes[i].name)
-		for _, c := range run.classes {
-			rg.AddClassification(c)
-		}
-		for _, lat := range run.bootLat {
-			rg.AddBootLatency(lat)
-		}
-		for _, rc := range run.reasons {
-			rg.AddFallback(rc.Reason, rc.Count)
-		}
-		rg.SetCapacityLoss(run.loss)
+		run.addTo(res.Report.Regime(warmclassRegimes[i].name))
 		res.Check.Spans += run.check.Spans
 		res.Check.Instants += run.check.Instants
 		res.Check.Roots += run.check.Roots
@@ -139,14 +153,21 @@ func (l *Lab) WriteWarmclass(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, "## Warmclass: changepoint warmup classification + fleet SLO report")
+	return l.writeSLOReport(w, res.Report)
+}
+
+// writeSLOReport prints the SLO every report is judged against, rep's
+// per-regime verdicts and the overall verdict: the tail of each figure
+// that builds a fleet SLO report.
+func (l *Lab) writeSLOReport(w io.Writer, rep *obs.Report) error {
 	slo := l.WarmclassSLO()
 	fmt.Fprintf(w, "# slo: boot-p99 <= %.0fs, time-to-steady-p95 <= %.0fs, capacity-loss <= %.0f%%\n",
 		slo.BootP99, slo.TimeToSteadyP95, slo.CapacityLoss*100)
-	if err := res.Report.WriteText(w); err != nil {
+	if err := rep.WriteText(w); err != nil {
 		return err
 	}
 	status := "PASS"
-	if !res.Report.Passed() {
+	if !rep.Passed() {
 		status = "FAIL"
 	}
 	fmt.Fprintf(w, "# overall: %s\n\n", status)

@@ -102,7 +102,7 @@ func TestBootConsumerEmptyStoreUsesFallback(t *testing.T) {
 	if srv == nil || info.UsedJumpStart {
 		t.Fatalf("expected fallback boot, got %+v", info)
 	}
-	if info.FallbackReason != "no package available" {
+	if info.FallbackReason != FallbackNoPackage {
 		t.Fatalf("reason = %q", info.FallbackReason)
 	}
 	if tel.Metrics.Counter("boot.fallback_total").Value() != 1 {
@@ -186,24 +186,24 @@ func findEvent(tel *telemetry.Set, name string) *telemetry.Event {
 
 // failingSource is a PackageSource that never delivers and reports why
 // — the shape of a transport client whose fetch budget ran out.
-type failingSource struct{ reason string }
+type failingSource struct{ reason Fallback }
 
 func (f *failingSource) Pick(region, bucket int, rnd uint64, exclude ...PackageID) (*StoredPackage, bool) {
 	return nil, false
 }
-func (f *failingSource) PickFailure() string { return f.reason }
+func (f *failingSource) PickFailure() Fallback { return f.reason }
 
 // TestBootConsumerSourceFailureReason checks that a source's pick
 // failure explanation (e.g. the transport's deadline budget) surfaces
 // as the consumer's FallbackReason.
 func TestBootConsumerSourceFailureReason(t *testing.T) {
 	site, _ := siteAndPackageBytes(t)
-	src := &failingSource{reason: "fetch budget exhausted"}
+	src := &failingSource{reason: FallbackFetchBudget}
 	srv, info, err := BootConsumer(site, src, BootConfig{Server: fastServerConfig()})
 	if err != nil || srv == nil {
 		t.Fatalf("fallback boot failed: %v", err)
 	}
-	if info.UsedJumpStart || info.FallbackReason != "fetch budget exhausted" {
+	if info.UsedJumpStart || info.FallbackReason != FallbackFetchBudget {
 		t.Fatalf("info = %+v", info)
 	}
 }

@@ -267,7 +267,7 @@ func TestBootConsumerFallsBackWithoutPackages(t *testing.T) {
 	if info.UsedJumpStart {
 		t.Fatal("no packages but used jump-start")
 	}
-	if info.FallbackReason == "" {
+	if info.FallbackReason == FallbackNone {
 		t.Fatal("missing fallback reason")
 	}
 	// The fallback server profiles its own traffic (Figure 3a).
@@ -324,7 +324,7 @@ func TestBootConsumerAllCorruptFallsBack(t *testing.T) {
 	if info.UsedJumpStart {
 		t.Fatal("all-corrupt store must fall back")
 	}
-	if !strings.Contains(info.FallbackReason, "undecodable") {
+	if info.FallbackReason != FallbackUndecodable {
 		t.Fatalf("reason = %q", info.FallbackReason)
 	}
 }
@@ -342,7 +342,7 @@ func TestBootConsumerRevisionMismatchFallsBack(t *testing.T) {
 	if info.UsedJumpStart {
 		t.Fatal("a package from another revision must not be booted")
 	}
-	if info.FallbackReason != "package revision mismatch" {
+	if info.FallbackReason != FallbackRevisionMismatch {
 		t.Fatalf("reason = %q", info.FallbackReason)
 	}
 }
@@ -371,7 +371,7 @@ func TestBootConsumerAllExcludedFallsBackEarly(t *testing.T) {
 	if info.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (one per package, then immediate fallback)", info.Attempts)
 	}
-	if !strings.Contains(info.FallbackReason, "undecodable") {
+	if info.FallbackReason != FallbackUndecodable {
 		t.Fatalf("reason = %q", info.FallbackReason)
 	}
 }

@@ -38,11 +38,11 @@ const DefaultChunkSize = 16 << 10
 
 // Protocol errors. Timeout/RPC/BadChunk are retryable within the
 // fetch budget; NoPackage and Budget are terminal for the attempt and
-// turn into the consumer's fallback reason.
+// turn into the consumer's fallback reason, whose text they carry.
 var (
 	// ErrNoPackage means the store had no (non-excluded) package for
 	// the requested (region, bucket).
-	ErrNoPackage = errors.New("transport: no package available")
+	ErrNoPackage = errors.New("transport: " + jumpstart.FallbackNoPackage.String())
 	// ErrTimeout means an RPC was dropped by the network and the
 	// client waited out its per-RPC timeout.
 	ErrTimeout = errors.New("transport: rpc timed out")
@@ -52,7 +52,7 @@ var (
 	// verification, or the reassembled payload its checksum.
 	ErrBadChunk = errors.New("transport: chunk failed verification")
 	// ErrBudget means the per-fetch deadline budget ran out.
-	ErrBudget = errors.New("transport: fetch budget exhausted")
+	ErrBudget = errors.New("transport: " + jumpstart.FallbackFetchBudget.String())
 )
 
 // Manifest describes one picked package: its identity, full-payload

@@ -67,7 +67,7 @@ func TestFetchNoPackage(t *testing.T) {
 	if _, err := cli.Fetch(3, 9, 1, nil); !errors.Is(err, ErrNoPackage) {
 		t.Fatalf("err = %v", err)
 	}
-	if cli.PickFailure() != "no package available" {
+	if cli.PickFailure() != jumpstart.FallbackNoPackage {
 		t.Fatalf("failure = %q", cli.PickFailure())
 	}
 	// All candidates excluded behaves identically (the Pick-exclusion
@@ -259,7 +259,7 @@ func TestBudgetExhaustionFallsBack(t *testing.T) {
 	if !errors.Is(err, ErrBudget) || res != nil {
 		t.Fatalf("err = %v res = %v", err, res)
 	}
-	if cli.PickFailure() != "fetch budget exhausted" {
+	if cli.PickFailure() != jumpstart.FallbackFetchBudget {
 		t.Fatalf("failure = %q", cli.PickFailure())
 	}
 	if now := clock.Now(); now < 19 || now > 20+1e-9 {
@@ -462,7 +462,7 @@ func TestHostileManifestFallsBack(t *testing.T) {
 		if !errors.Is(err, ErrBudget) || res != nil {
 			t.Errorf("%s: err = %v res = %v, want ErrBudget", name, err, res)
 		}
-		if cli.PickFailure() != "fetch budget exhausted" {
+		if cli.PickFailure() != jumpstart.FallbackFetchBudget {
 			t.Errorf("%s: failure = %q", name, cli.PickFailure())
 		}
 	}

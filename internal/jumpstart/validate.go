@@ -46,7 +46,7 @@ var (
 	ErrCorrupt   = errors.New("jumpstart: package failed decode")
 	ErrBoot      = errors.New("jumpstart: consumer trial boot failed")
 	ErrUnhealthy = errors.New("jumpstart: consumer trial unhealthy")
-	ErrRevision  = errors.New("jumpstart: package revision mismatch")
+	ErrRevision  = errors.New("jumpstart: " + FallbackRevisionMismatch.String())
 )
 
 // Validate checks a serialized package end to end: decodability,
