@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzArrayOps$$' -fuzztime 10s ./internal/value/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtTSP$$' -fuzztime 10s ./internal/layout/
 	$(GO) test -run '^$$' -fuzz '^FuzzProfDecode$$' -fuzztime 10s ./internal/prof/
+	$(GO) test -run '^$$' -fuzz '^FuzzLangRoundTrip$$' -fuzztime 10s ./internal/lang/
 
 # Coverage gate: reports per-package coverage and enforces the floors
 # on internal/telemetry, internal/obs, internal/scenario and

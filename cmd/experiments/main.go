@@ -23,8 +23,6 @@
 //	experiments -quick              # reduced scale (faster, noisier)
 //	experiments -workers 1          # sequential (byte-identical output)
 //	experiments -sweep 5 -seed 42   # 5-seed repetition study (mean/min/max)
-//	experiments -replay-cache off   # disable the host-side replay memoization
-//	                                # (same figures, slower — A/B harness)
 package main
 
 import (
@@ -64,12 +62,8 @@ func run(args []string, stdout io.Writer) error {
 	sweep := fs.Int("sweep", 0, "run an N-seed sweep of the headline metrics instead of single-seed figures")
 	seed := fs.Uint64("seed", 1, "base seed for -sweep (per-seed streams are forked from it)")
 	tune := fs.Bool("tune", false, "run the SLO-driven policy autotuner instead of figures")
-	replayCache := fs.String("replay-cache", "on", "translation replay memoization: on | off (host-side speedup; figure output is byte-identical either way)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *replayCache != "on" && *replayCache != "off" {
-		return fmt.Errorf("-replay-cache must be on or off, got %q (see experiments -h for usage)", *replayCache)
 	}
 	if *sweep < 0 {
 		return fmt.Errorf("-sweep must be >= 0 (see experiments -h for usage)")
@@ -83,7 +77,6 @@ func run(args []string, stdout io.Writer) error {
 
 	cfg := labConfig(*quick)
 	cfg.Workers = *workers
-	cfg.ServerCfg.ReplayCache = *replayCache == "on"
 
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()

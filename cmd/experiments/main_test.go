@@ -15,7 +15,6 @@ func microConfig(bool) experiments.Config {
 	cfg.SiteCfg.HelpersPerUnit = 4
 	cfg.SiteCfg.EndpointsPerUnit = 2
 	cfg.ServerCfg.Cores = 2
-	cfg.ServerCfg.CompileThreads = 2
 	cfg.ServerCfg.InitCycles = 3e6
 	cfg.Horizon = 90
 	cfg.LongHorizon = 180
@@ -80,7 +79,6 @@ func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-fig", "nonsense"},
 		{"-sweep", "-3"},
-		{"-replay-cache", "maybe"},
 		{"-tune", "-sweep", "2"},
 	}
 	for _, args := range cases {

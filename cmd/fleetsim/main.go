@@ -108,7 +108,6 @@ func run(args []string, stdout io.Writer) error {
 	brownStart := fs.Float64("brownout-start", 0, "store brownout start, virtual seconds (0 = none)")
 	brownSecs := fs.Float64("brownout-seconds", 0, "store brownout duration")
 	brownDrop := fs.Float64("brownout-drop", 0.95, "store RPC drop rate during the brownout")
-	replayCache := fs.String("replay-cache", "on", "translation replay memoization for the curve-measurement servers: on | off (output is byte-identical either way)")
 	regions := fs.Int("regions", 0, "override the number of fleet regions (0 = measurement-config default)")
 	replicas := fs.Int("replicas", 0, "K-way replication per store shard; > 0 routes packages through the multi-region sharded store hierarchy")
 	storeNodes := fs.Int("store-nodes", 3, "store nodes per region shard (with -replicas)")
@@ -126,9 +125,6 @@ func run(args []string, stdout io.Writer) error {
 	geomStretch := fs.Float64("geometry-stretch", 1.25, "warmup slowdown factor for cross-geometry boots (with -geometry mixed)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *replayCache != "on" && *replayCache != "off" {
-		return usageErr("-replay-cache must be on or off, got %q", *replayCache)
 	}
 	policy, err := jumpstart.ParseCompatPolicy(*remapPolicy)
 	if err != nil {
@@ -175,7 +171,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := labConfig(*quick)
-	cfg.ServerCfg.ReplayCache = *replayCache == "on"
 	var tel *telemetry.Set
 	if *tracePath != "" || *metricsPath != "" || *cycleProf != "" || *spansPath != "" {
 		tel = telemetry.NewSet()

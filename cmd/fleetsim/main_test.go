@@ -321,7 +321,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-scenario", "hurricane"},
 		{"-geometry", "triangular"},
 		{"-remap-policy", "vibes"},
-		{"-replay-cache", "maybe"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

@@ -83,13 +83,9 @@ func run(args []string, stdout io.Writer) error {
 	fetchBudget := fs.Float64("fetch-budget", 30, "consumer per-boot fetch deadline budget, wall seconds")
 	revision := fs.Uint64("revision", 0, "build revision checksum: seeders stamp uploaded packages with it, consumers reject mismatched packages (0 disables checking)")
 	quick := fs.Bool("quick", false, "reduced-scale site and server config (fast demos and tests)")
-	replayCache := fs.String("replay-cache", "on", "translation replay memoization: on | off (host-side speedup; simulation output is byte-identical either way)")
 	warmupMode := fs.String("warmup-mode", "eager", "consumer package materialization: eager | lazy (lazy serves immediately and pages translations in on first call; with -store-url page-ins re-fetch chunks over the transport)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *replayCache != "on" && *replayCache != "off" {
-		return fmt.Errorf("-replay-cache must be on or off, got %q (see jumpstartd -h for usage)", *replayCache)
 	}
 	wmode, err := jumpstart.ParseWarmupMode(*warmupMode)
 	if err != nil {
@@ -172,7 +168,6 @@ func run(args []string, stdout io.Writer) error {
 		cfg.OfferedRPS = *rps
 	}
 	cfg.Telem = tel
-	cfg.ReplayCache = *replayCache == "on"
 
 	var s *server.Server
 	var pager *transport.LazyPager
@@ -361,7 +356,7 @@ func bootFromStore(site *workload.Site, cfg server.Config, url string,
 	cli := storeClient(url, budget, seed, wall, tel)
 	var pager *transport.LazyPager
 	if wmode == jumpstart.WarmupLazy {
-		pager = transport.NewLazyPager(cli, nil, cfg.ClockHz)
+		pager = transport.NewLazyPager(cli, nil)
 		cfg.Pager = pager
 	}
 	rnd := seed

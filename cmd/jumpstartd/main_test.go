@@ -94,7 +94,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-rps", "-100"},
 		{"-fetch-budget", "0"},
 		{"-serve-seconds", "-1"},
-		{"-replay-cache", "maybe"},
 		{"-warmup-mode", "bogus"},
 	}
 	for _, args := range cases {

@@ -15,6 +15,22 @@ import (
 	"jumpstart/internal/workload"
 )
 
+// The deployment shape is fixed, as in the paper's push: the fractions
+// of the fleet restarted in C1 and C2, and the rolling C3 waves.
+const (
+	c1Fraction = 0.005 // employee servers
+	c2Fraction = 0.02  // profile-collecting servers (paper: 2%)
+
+	// c3Waves splits the C3 phase into rolling waves (the fleet-wide
+	// restart is rate-limited in practice); c3WaveInterval spaces them.
+	c3Waves        = 6
+	c3WaveInterval = 60
+
+	// restartDowntime is the gap between a server stopping and its
+	// replacement process starting.
+	restartDowntime = 10
+)
+
 // Config sizes the simulated fleet and its deployment behaviour.
 type Config struct {
 	Regions          int
@@ -27,24 +43,14 @@ type Config struct {
 	CurveJumpStart   WarmupCurve
 	CurveNoJumpStart WarmupCurve
 
-	// Deployment plan. Fractions of the fleet restarted per phase;
-	// holds are the soak times before the next phase starts.
-	C1Fraction float64 // employee servers
-	C2Fraction float64 // profile-collecting servers (paper: 2%)
-	C1Hold     float64
-	C2Hold     float64 // must cover seeding+validation (~30 min scaled)
-
-	// C3Waves splits the C3 phase into rolling waves (the fleet-wide
-	// restart is rate-limited in practice); C3WaveInterval spaces them.
-	C3Waves        int
-	C3WaveInterval float64
+	// Deployment plan: holds are the soak times before the next phase
+	// starts.
+	C1Hold float64
+	C2Hold float64 // must cover seeding+validation (~30 min scaled)
 
 	// SeederDuration is how long a C2 server takes to produce and
 	// validate a package after restart.
 	SeederDuration float64
-	// RestartDowntime is the gap between a server stopping and its
-	// replacement process starting.
-	RestartDowntime float64
 
 	// Reliability model (Section VI). DefectRate is the probability a
 	// seeder produces a crash-inducing package; ValidationCatchRate is
@@ -238,16 +244,10 @@ func DefaultConfig() Config {
 		TickSeconds:      5,
 		Seed:             1,
 
-		C1Fraction: 0.005,
-		C2Fraction: 0.02,
-		C1Hold:     60,
-		C2Hold:     240,
+		C1Hold: 60,
+		C2Hold: 240,
 
-		C3Waves:        6,
-		C3WaveInterval: 60,
-
-		SeederDuration:  180,
-		RestartDowntime: 10,
+		SeederDuration: 180,
 
 		DefectRate:          0,
 		ValidationCatchRate: 0.95,
@@ -433,8 +433,8 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	f.modeFlavours[flLazy] = cfg.WarmupMode == jumpstart.WarmupLazy
 	f.src = newSource(f)
 	total := cfg.Regions * cfg.Buckets * cfg.ServersPerBucket
-	n1 := int(math.Ceil(cfg.C1Fraction * float64(total)))
-	n2 := int(math.Ceil(cfg.C2Fraction * float64(total)))
+	n1 := int(math.Ceil(c1Fraction * float64(total)))
+	n2 := int(math.Ceil(c2Fraction * float64(total)))
 	if n1 < 1 {
 		n1 = 1
 	}
@@ -639,7 +639,7 @@ func (f *Fleet) stepServer(s *simServer) srvTick {
 		r.capacity = 1
 	case stDown:
 		r.down = 1
-		if f.now-s.stateT >= f.cfg.RestartDowntime {
+		if f.now-s.stateT >= restartDowntime {
 			r.needsBoot = true
 		}
 	case stSeeding:
@@ -895,15 +895,11 @@ func (f *Fleet) advanceDeployment() {
 			f.restartC3Wave()
 		}
 	case 3:
-		waves := f.cfg.C3Waves
-		if waves < 1 {
-			waves = 1
-		}
-		if f.c3Wave < waves &&
-			f.now-f.phaseStart >= float64(f.c3Wave)*f.cfg.C3WaveInterval {
+		if f.c3Wave < c3Waves &&
+			f.now-f.phaseStart >= float64(f.c3Wave)*c3WaveInterval {
 			f.restartC3Wave()
 		}
-		if f.c3Wave < waves {
+		if f.c3Wave < c3Waves {
 			return
 		}
 		// Deployment completes when everyone is running again.
@@ -927,17 +923,13 @@ func (f *Fleet) advanceDeployment() {
 
 // restartC3Wave restarts the next slice of group-3 servers.
 func (f *Fleet) restartC3Wave() {
-	waves := f.cfg.C3Waves
-	if waves < 1 {
-		waves = 1
-	}
 	var members []int
 	for i := range f.servers {
 		if f.servers[i].group == 3 {
 			members = append(members, i)
 		}
 	}
-	per := (len(members) + waves - 1) / waves
+	per := (len(members) + c3Waves - 1) / c3Waves
 	// Small fleets can have fewer C3 members than waves; later waves
 	// are then empty rather than out of range.
 	lo := f.c3Wave * per
@@ -982,7 +974,7 @@ func (f *Fleet) poolRebootSeconds() float64 {
 	if f.cfg.JumpStartEnabled {
 		fl = f.curves.choose(f.modeFlavours)
 	}
-	return f.cfg.RestartDowntime + f.curves[fl].TimeToFraction(1)
+	return restartDowntime + f.curves[fl].TimeToFraction(1)
 }
 
 // swapFromPool brings a just-stopped consumer's slot straight back up

@@ -317,7 +317,7 @@ func TestWarmupSeriesReanchorsPerPush(t *testing.T) {
 			flat++
 		}
 	}
-	// Only C1 members (C1Fraction of the fleet) may look non-flat.
+	// Only C1 members (c1Fraction of the fleet) may look non-flat.
 	if min := len(series) * 9 / 10; flat < min {
 		t.Fatalf("only %d/%d un-rebooted servers classify flat, want ≥ %d",
 			flat, len(series), min)

@@ -187,7 +187,6 @@ func TestC3WavesExceedMembers(t *testing.T) {
 	cfg.Regions = 1
 	cfg.Buckets = 2
 	cfg.ServersPerBucket = 3
-	cfg.C3Waves = 6
 	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ func tinyConfig() Config {
 	// Fewer simulated cores caps the calibrated load — and with it the
 	// number of bytecode-executing requests — far below Quick scale.
 	cfg.ServerCfg.Cores = 2
-	cfg.ServerCfg.CompileThreads = 2
 	cfg.ServerCfg.InitCycles = 3e6
 	cfg.Horizon = 90
 	cfg.LongHorizon = 180

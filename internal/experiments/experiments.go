@@ -62,11 +62,6 @@ func Default() Config {
 		ITLBEntries: 16,
 		DTLBEntries: 16,
 		BPTableBits: 10,
-
-		L1MissPenalty:     12,
-		LLCMissPenalty:    60,
-		TLBMissPenalty:    30,
-		BranchMissPenalty: 15,
 	}
 	srvCfg.MicroSampleEvery = 8
 	srvCfg.OfferedRPS = 400

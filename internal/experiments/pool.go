@@ -93,7 +93,7 @@ func (l *Lab) lazyWarmup(net netsim.Config) ([]server.TickStats, server.LazyStat
 	if err != nil {
 		return nil, server.LazyStats{}, nil, fmt.Errorf("experiments: lazy boot fetch: %w", err)
 	}
-	pager := transport.NewLazyPager(cli, res.Manifest, l.Cfg.ServerCfg.ClockHz)
+	pager := transport.NewLazyPager(cli, res.Manifest)
 
 	cfg := l.Cfg.ServerCfg
 	cfg.Mode = server.ModeConsumer

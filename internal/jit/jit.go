@@ -77,36 +77,31 @@ type Options struct {
 	// optimized translations (seeder mode, Figure 3b).
 	InstrumentOptimized bool
 
-	// InlineMaxBlocks bounds the callee size (in bytecode basic
-	// blocks) eligible for inlining.
-	InlineMaxBlocks int
-	// InlineMinFraction is the dominant-target fraction required to
-	// inline or devirtualize a call site.
-	InlineMinFraction float64
-	// ColdFraction is the hot/cold split threshold relative to the
-	// hottest block.
-	ColdFraction float64
-	// GuardAssumedWeight is the fraction of a block's weight assumed
-	// to reach its guard exits when no Vasm counters are available —
-	// the bytecode/Vasm semantic gap of Section V-A.
-	GuardAssumedWeight float64
 	// FuncSort selects the function-sorting algorithm.
 	FuncSort FunctionSort
-	// MaxClusterSize caps C3 cluster growth (bytes).
-	MaxClusterSize int
 }
 
 // DefaultOptions returns production-like settings.
 func DefaultOptions() Options {
-	return Options{
-		InlineMaxBlocks:    12,
-		InlineMinFraction:  0.9,
-		ColdFraction:       0.02,
-		GuardAssumedWeight: 0.05,
-		FuncSort:           SortC3,
-		MaxClusterSize:     layout.DefaultMaxClusterSize,
-	}
+	return Options{FuncSort: SortC3}
 }
+
+// Optimization thresholds, fixed at production-like settings.
+const (
+	// inlineMaxBlocks bounds the callee size (in bytecode basic
+	// blocks) eligible for inlining.
+	inlineMaxBlocks = 12
+	// inlineMinFraction is the dominant-target fraction required to
+	// inline or devirtualize a call site.
+	inlineMinFraction = 0.9
+	// coldFraction is the hot/cold split threshold relative to the
+	// hottest block.
+	coldFraction = 0.02
+	// guardAssumedWeight is the fraction of a block's weight assumed
+	// to reach its guard exits when no Vasm counters are available —
+	// the bytecode/Vasm semantic gap of Section V-A.
+	guardAssumedWeight = 0.05
+)
 
 // InlineMap records how an inlined callee's bytecode blocks map into
 // the caller's translation.
@@ -441,7 +436,7 @@ func (j *JIT) FunctionOrderWith(p *prof.Profile, names []string, useSeeded bool)
 			order[i] = i
 		}
 	default:
-		order = layout.C3(cg, j.opts.MaxClusterSize)
+		order = layout.C3(cg, layout.DefaultMaxClusterSize)
 	}
 	out := make([]string, len(order))
 	for i, id := range order {

@@ -73,7 +73,7 @@ func (j *JIT) lower(fn *bytecode.Function, tier Tier, fp *prof.FuncProfile, p *p
 				instrs += vasm.SpecializedPropInstrs
 				specSites++
 			case tier == TierOptimized && in.Op == bytecode.OpFCallM && fp != nil:
-				target, ok := fp.DominantTarget(int32(pc), j.opts.InlineMinFraction)
+				target, ok := fp.DominantTarget(int32(pc), inlineMinFraction)
 				if !ok {
 					instrs += vasm.GenericInstrs(in.Op)
 					break
@@ -237,7 +237,7 @@ func (j *JIT) inlinable(caller, callee *bytecode.Function, p *prof.Profile) bool
 	if callee == nil || callee == caller {
 		return false
 	}
-	if len(callee.Blocks()) > j.opts.InlineMaxBlocks {
+	if len(callee.Blocks()) > inlineMaxBlocks {
 		return false
 	}
 	// The callee must not itself contain calls (one-level inlining,
@@ -331,7 +331,7 @@ func (j *JIT) applyLayout(t *Translation, fp *prof.FuncProfile) {
 			if useVasm {
 				e.Weight = cfg.Blocks[e.Dst].Weight
 			} else {
-				w := uint64(float64(cfg.Blocks[e.Src].Weight) * j.opts.GuardAssumedWeight)
+				w := uint64(float64(cfg.Blocks[e.Src].Weight) * guardAssumedWeight)
 				e.Weight = w
 				cfg.Blocks[e.Dst].Weight = w
 			}
@@ -376,7 +376,7 @@ func (j *JIT) applyLayout(t *Translation, fp *prof.FuncProfile) {
 
 	g := cfg.ToLayoutGraph()
 	order := layout.ExtTSP(g)
-	hot, cold := layout.SplitHotCold(g, order, j.opts.ColdFraction)
+	hot, cold := layout.SplitHotCold(g, order, coldFraction)
 	t.Order = append(append([]int{}, hot...), cold...)
 	t.HotCount = len(hot)
 	t.HotSize, t.ColdSize = 0, 0

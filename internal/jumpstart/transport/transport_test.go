@@ -671,22 +671,21 @@ func TestFetchChunkFreshBudgetPerCall(t *testing.T) {
 // two.
 func TestLazyPagerPageInAndMiss(t *testing.T) {
 	payload := testPayload(4_000, 14)
-	const hz = 1e9
 
-	// Healthy: every page-in lands, zero-latency fabric → zero cycles.
+	// Healthy: every page-in lands, zero-latency fabric → zero seconds.
 	_, cli, _, _ := newTestStack(t, payload, 1024, netsim.Config{}, ClientConfig{Budget: 10})
 	res, err := cli.Fetch(0, 0, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pager := NewLazyPager(cli, res.Manifest, hz)
+	pager := NewLazyPager(cli, res.Manifest)
 	for _, fn := range []string{"unit0::helper1", "unit3::endpoint2", "main"} {
-		cycles, ok := pager.PageIn(fn)
+		secs, ok := pager.PageIn(fn)
 		if !ok {
 			t.Fatalf("healthy page-in of %q missed", fn)
 		}
-		if cycles != 0 {
-			t.Fatalf("zero-latency page-in charged %v cycles", cycles)
+		if secs != 0 {
+			t.Fatalf("zero-latency page-in charged %v s", secs)
 		}
 	}
 	if ins, misses := pager.Stats(); ins != 3 || misses != 0 {
@@ -696,21 +695,21 @@ func TestLazyPagerPageInAndMiss(t *testing.T) {
 	// Dead network: the page-in misses and is charged the whole budget.
 	_, deadCli, _, _ := newTestStack(t, payload, 1024,
 		netsim.Config{DropRate: 1}, ClientConfig{Budget: 10, RPCTimeout: 1})
-	deadPager := NewLazyPager(deadCli, res.Manifest, hz)
-	cycles, ok := deadPager.PageIn("unit0::helper1")
+	deadPager := NewLazyPager(deadCli, res.Manifest)
+	secs, ok := deadPager.PageIn("unit0::helper1")
 	if ok {
 		t.Fatal("page-in succeeded on a fully dropped network")
 	}
-	if cycles != 10*hz {
-		t.Fatalf("miss charged %v cycles, want full budget %v", cycles, 10*hz)
+	if secs != 10 {
+		t.Fatalf("miss charged %v s, want full budget 10 s", secs)
 	}
 	if ins, misses := deadPager.Stats(); ins != 1 || misses != 1 {
 		t.Fatalf("dead stats = %d/%d, want 1/1", ins, misses)
 	}
 
 	// No manifest (local boot, nothing to fetch): free and always ok.
-	local := NewLazyPager(deadCli, nil, hz)
-	if cycles, ok := local.PageIn("x"); cycles != 0 || !ok {
-		t.Fatalf("manifestless page-in = %v/%v, want 0/true", cycles, ok)
+	local := NewLazyPager(deadCli, nil)
+	if secs, ok := local.PageIn("x"); secs != 0 || !ok {
+		t.Fatalf("manifestless page-in = %v/%v, want 0/true", secs, ok)
 	}
 }

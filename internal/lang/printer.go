@@ -9,10 +9,11 @@ import (
 // PrintFile renders a parsed file back to MiniHack source. The output
 // is canonical rather than faithful to the original layout: one
 // statement per line, uniform two-space indentation, and fully
-// parenthesized binary expressions (so no precedence table is needed
-// and the result re-parses to the same AST). The continuous-deployment
-// source mutator (internal/release) edits ASTs and uses this printer
-// to produce the next revision's sources.
+// parenthesized binary expressions and unary bases of postfix
+// operators (so no precedence table is needed and the result re-parses
+// to the same AST; FuzzLangRoundTrip checks it). The
+// continuous-deployment source mutator (internal/release) edits ASTs
+// and uses this printer to produce the next revision's sources.
 func PrintFile(f *File) string {
 	var b strings.Builder
 	p := printer{b: &b}
@@ -194,16 +195,26 @@ func exprString(e Expr) string {
 	case *Call:
 		return x.Name + argsString(x.Args)
 	case *MethodCall:
-		return exprString(x.Recv) + "->" + x.Name + argsString(x.Args)
+		return postfixBase(x.Recv) + "->" + x.Name + argsString(x.Args)
 	case *New:
 		return "new " + x.Class + argsString(x.Args)
 	case *Index:
-		return exprString(x.Base) + "[" + exprString(x.Key) + "]"
+		return postfixBase(x.Base) + "[" + exprString(x.Key) + "]"
 	case *Prop:
-		return exprString(x.Base) + "->" + x.Name
+		return postfixBase(x.Base) + "->" + x.Name
 	default:
 		panic(fmt.Sprintf("lang: unknown expression %T", e))
 	}
+}
+
+// postfixBase renders the base of an index, property access or method
+// call. A unary base needs its own parentheses: -(a)[0] re-parses as
+// -(a[0]).
+func postfixBase(e Expr) string {
+	if _, ok := e.(*Unary); ok {
+		return "(" + exprString(e) + ")"
+	}
+	return exprString(e)
 }
 
 func argsString(args []Expr) string {

@@ -30,13 +30,15 @@ type Config struct {
 	ITLBEntries, DTLBEntries int
 
 	BPTableBits int // branch-predictor table size = 1<<bits
-
-	// Penalties in cycles.
-	L1MissPenalty     int // L1 miss, LLC hit
-	LLCMissPenalty    int // LLC miss (memory access)
-	TLBMissPenalty    int // TLB fill (page walk)
-	BranchMissPenalty int // mispredicted branch
 }
+
+// Penalties in cycles, the same for every geometry.
+const (
+	l1MissPenalty     = 12 // L1 miss, LLC hit
+	llcMissPenalty    = 60 // LLC miss (memory access)
+	tlbMissPenalty    = 30 // TLB fill (page walk)
+	branchMissPenalty = 15 // mispredicted branch
+)
 
 // DefaultConfig returns the scaled Xeon D-1581-like hierarchy.
 func DefaultConfig() Config {
@@ -49,11 +51,6 @@ func DefaultConfig() Config {
 		ITLBEntries: 64,
 		DTLBEntries: 64,
 		BPTableBits: 12,
-
-		L1MissPenalty:     12,
-		LLCMissPenalty:    60,
-		TLBMissPenalty:    30,
-		BranchMissPenalty: 15,
 	}
 }
 
@@ -366,16 +363,16 @@ func (h *Hierarchy) Fetch(addr uint64, size int) int {
 		h.stats.ITLBAccs++
 		if !h.itlb.access(a) {
 			h.stats.ITLBMisses++
-			penalty += h.cfg.TLBMissPenalty
+			penalty += tlbMissPenalty
 		}
 		if !h.l1i.access(a) {
 			h.stats.L1IMisses++
 			h.stats.LLCAccs++
 			if h.llc.access(a) {
-				penalty += h.cfg.L1MissPenalty
+				penalty += l1MissPenalty
 			} else {
 				h.stats.LLCMisses++
-				penalty += h.cfg.LLCMissPenalty
+				penalty += llcMissPenalty
 			}
 		}
 	}
@@ -389,16 +386,16 @@ func (h *Hierarchy) Data(addr uint64) int {
 	h.stats.DTLBAccs++
 	if !h.dtlb.access(addr) {
 		h.stats.DTLBMisses++
-		penalty += h.cfg.TLBMissPenalty
+		penalty += tlbMissPenalty
 	}
 	if !h.l1d.access(addr) {
 		h.stats.L1DMisses++
 		h.stats.LLCAccs++
 		if h.llc.access(addr) {
-			penalty += h.cfg.L1MissPenalty
+			penalty += l1MissPenalty
 		} else {
 			h.stats.LLCMisses++
-			penalty += h.cfg.LLCMissPenalty
+			penalty += llcMissPenalty
 		}
 	}
 	return penalty
@@ -410,7 +407,7 @@ func (h *Hierarchy) Branch(pc uint64, taken bool) int {
 	h.stats.Branches++
 	if !h.bp.predict(pc, taken) {
 		h.stats.BranchMiss++
-		return h.cfg.BranchMissPenalty
+		return branchMissPenalty
 	}
 	return 0
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // Pager materializes one function's optimized translation artifact in
-// lazy warmup mode. PageIn returns the virtual cycles the fetch cost
+// lazy warmup mode. PageIn returns the virtual seconds the fetch took
 // and whether the artifact arrived; a miss (budget exhausted, store
 // unreachable) leaves the function on the interpreter/live-JIT path —
 // lazy boots degrade, they do not fail. Implementations live above the
 // server (jumpstart.LazyPager fetches over the transport); a nil Pager
 // means page-ins are local and cost only the install.
 type Pager interface {
-	PageIn(fn string) (cycles float64, ok bool)
+	PageIn(fn string) (seconds float64, ok bool)
 }
 
 // LazyStats reports the lazy-warmup bookkeeping.
@@ -57,8 +57,8 @@ func (s *Server) armLazyWarmup() float64 {
 // storm against a degraded store.
 func (s *Server) lazyPageIn(fn *bytecode.Function) {
 	if s.cfg.Pager != nil {
-		cycles, ok := s.cfg.Pager.PageIn(fn.Name)
-		if cycles > 0 {
+		secs, ok := s.cfg.Pager.PageIn(fn.Name)
+		if cycles := secs * clockHz; cycles > 0 {
 			s.rt.AddCyclesBucket(uint64(cycles), telemetry.CyclePageIn)
 		}
 		if !ok {
@@ -88,7 +88,7 @@ func (s *Server) lazyPageIn(fn *bytecode.Function) {
 	}
 	s.optTrans[fn.Name] = tr
 	s.rt.AddCyclesBucket(
-		uint64(float64(tr.HotSize+tr.ColdSize)*s.cfg.RelocCyclesPerByte),
+		uint64(float64(tr.HotSize+tr.ColdSize)*relocCyclesPerByte),
 		telemetry.CyclePageIn)
 	s.lazyStats.Paged++
 	s.tel.Counter("server.lazy_pagein_total").Inc()

@@ -9,14 +9,14 @@ import (
 
 // countingPager is a test Pager with a scripted outcome.
 type countingPager struct {
-	cycles float64
-	ok     bool
-	calls  int
+	seconds float64
+	ok      bool
+	calls   int
 }
 
 func (p *countingPager) PageIn(fn string) (float64, bool) {
 	p.calls++
-	return p.cycles, p.ok
+	return p.seconds, p.ok
 }
 
 // pageInCycles sums the lazy-pagein bucket across phases.
@@ -119,7 +119,7 @@ func TestLazyPagerChargesAndCountsMisses(t *testing.T) {
 	cfg := testConfig(ModeConsumer)
 	cfg.Package = pkg
 	cfg.LazyWarmup = true
-	pager := &countingPager{cycles: 5e5, ok: false}
+	pager := &countingPager{seconds: 2.5, ok: false} // 5e5 cycles
 	cfg.Pager = pager
 	cfg.Telem = tel
 	s, err := New(site, cfg)
@@ -161,7 +161,7 @@ func TestLazySucceedingPagerCounter(t *testing.T) {
 	cfg := testConfig(ModeConsumer)
 	cfg.Package = pkg
 	cfg.LazyWarmup = true
-	pager := &countingPager{cycles: 1e5, ok: true}
+	pager := &countingPager{seconds: 0.5, ok: true} // 1e5 cycles
 	cfg.Pager = pager
 	cfg.Telem = tel
 	s, err := New(site, cfg)

@@ -15,7 +15,7 @@ type SteadyStats struct {
 	Requests        int
 	AvgCyclesPerReq float64
 	// CapacityRPS is the throughput the server could sustain at 100%
-	// CPU: Cores × ClockHz / AvgCyclesPerReq. The paper loads servers
+	// CPU: Cores × clockHz / AvgCyclesPerReq. The paper loads servers
 	// to 80% CPU; capacity comparisons are load-independent.
 	CapacityRPS float64
 	Mem         microarch.Stats
@@ -88,7 +88,7 @@ func (s *Server) MeasureSteady(n int) SteadyStats {
 	return SteadyStats{
 		Requests:        n,
 		AvgCyclesPerReq: avg,
-		CapacityRPS:     float64(s.cfg.Cores) * s.cfg.ClockHz / avg,
+		CapacityRPS:     float64(s.cfg.Cores) * clockHz / avg,
 		Mem:             s.mem.Stats(),
 		GuardFails:      s.rt.GuardFails() - startGuard,
 		Faults:          faults,

@@ -98,6 +98,30 @@ func (p Phase) String() string {
 	}
 }
 
+// The machine and cost model are fixed, as the paper fixes its
+// machine; DefaultConfig's scaling note applies to every cycle count.
+const (
+	// clockHz is the scaled 1.8 GHz clock (see DefaultConfig).
+	clockHz = 200_000
+
+	// Tier transition thresholds.
+	profileTriggerCalls = 2 // calls before a tier-1 translation
+	liveTriggerCalls    = 2 // calls before a live translation (post-C)
+
+	// Compile-cost model (cycles per bytecode instruction).
+	tier1CompileCPI = 2_000
+	tier2CompileCPI = 4_000
+	liveCompileCPI  = 1_500
+	// compileThreads caps background tier-2 compilation parallelism.
+	compileThreads = 3
+	// relocCyclesPerByte is the B→C relocation cost.
+	relocCyclesPerByte = 100
+
+	// maxQueue bounds the arrival queue (requests beyond it are
+	// dropped — lost capacity).
+	maxQueue = 600
+)
+
 // Config parameterizes a simulated server.
 type Config struct {
 	Mode   Mode
@@ -106,8 +130,7 @@ type Config struct {
 	Seed   uint64
 
 	// Hardware model (paper: 1.8 GHz Xeon D-1581, 16 cores).
-	Cores   int
-	ClockHz float64
+	Cores int
 
 	// Traffic.
 	OfferedRPS  float64
@@ -130,22 +153,11 @@ type Config struct {
 	ReplayCache bool
 
 	// Tier transition thresholds.
-	ProfileTriggerCalls int // calls before a tier-1 translation
-	LiveTriggerCalls    int // calls before a live translation (post-C)
-	ProfileWindow       int // profiled requests before point A
+	ProfileWindow int // profiled requests before point A
 	// OptimizeMinEntries excludes functions with fewer profiled
 	// activations from tier-2 compilation (insufficient data); they
 	// stay on the live-JIT path, forming Figure 1's C→D tail.
 	OptimizeMinEntries int
-
-	// Compile-cost model (cycles per bytecode instruction).
-	Tier1CompileCPI float64
-	Tier2CompileCPI float64
-	LiveCompileCPI  float64
-	// CompileThreads caps background tier-2 compilation parallelism.
-	CompileThreads int
-	// RelocCyclesPerByte is the B→C relocation cost.
-	RelocCyclesPerByte float64
 
 	// Initialization model.
 	InitCycles        float64 // fixed process-start work
@@ -170,10 +182,6 @@ type Config struct {
 	// to object layout (Section V-C).
 	UsePropertyOrder bool
 
-	// MaxQueue bounds the arrival queue (requests beyond it are
-	// dropped — lost capacity).
-	MaxQueue int
-
 	// Telem is the optional observation set (metrics, trace, cycle
 	// profile). Telemetry is zero-perturbation: simulation output is
 	// byte-identical whether it is nil or not (pinned by
@@ -194,9 +202,8 @@ type Config struct {
 // unaffected by the scale; only the absolute seconds are compressed.
 func DefaultConfig() Config {
 	return Config{
-		Mode:    ModeNoJumpStart,
-		Cores:   16,
-		ClockHz: 200_000, // scaled 1.8 GHz (see note above)
+		Mode:  ModeNoJumpStart,
+		Cores: 16,
 
 		OfferedRPS:  200,
 		TickSeconds: 5,
@@ -207,23 +214,14 @@ func DefaultConfig() Config {
 		MicroSampleEvery: 4,
 		ReplayCache:      true,
 
-		ProfileTriggerCalls: 2,
-		LiveTriggerCalls:    2,
-		ProfileWindow:       8_000,
-		OptimizeMinEntries:  40,
-
-		Tier1CompileCPI:    2_000,
-		Tier2CompileCPI:    4_000,
-		LiveCompileCPI:     1_500,
-		CompileThreads:     3,
-		RelocCyclesPerByte: 100,
+		ProfileWindow:      8_000,
+		OptimizeMinEntries: 40,
 
 		InitCycles:        50e6,
 		UnitPreloadCycles: 150e3,
 		WarmupRequests:    12,
 
 		SeederCollectWindow: 6_000,
-		MaxQueue:            600,
 	}
 }
 
@@ -298,7 +296,7 @@ type Server struct {
 
 // New builds a server for site with cfg.
 func New(site *workload.Site, cfg Config) (*Server, error) {
-	if cfg.Cores <= 0 || cfg.ClockHz <= 0 || cfg.TickSeconds <= 0 {
+	if cfg.Cores <= 0 || cfg.TickSeconds <= 0 {
 		return nil, errors.New("server: invalid hardware config")
 	}
 	if cfg.Mode == ModeConsumer && cfg.Package == nil {
@@ -439,10 +437,10 @@ func (s *Server) canReplayEnters(enters []replay.FnCount) bool {
 	case PhaseProfiling:
 		// Defensive: the memoizer is uninstalled while the collector
 		// runs, so this branch should be unreachable.
-		trigger, triggered = uint32(s.cfg.ProfileTriggerCalls), true
+		trigger, triggered = profileTriggerCalls, true
 	case PhaseOptimizing, PhaseServing, PhaseCollecting:
 		if !s.liveFull {
-			trigger, triggered = uint32(s.cfg.LiveTriggerCalls), true
+			trigger, triggered = liveTriggerCalls, true
 		}
 	}
 	if triggered {
@@ -492,7 +490,7 @@ func (s *Server) JIT() *jit.JIT { return s.j }
 
 // budgetCycles is the total cycle budget of one tick.
 func (s *Server) budgetCycles() float64 {
-	return float64(s.cfg.Cores) * s.cfg.ClockHz * s.cfg.TickSeconds
+	return float64(s.cfg.Cores) * clockHz * s.cfg.TickSeconds
 }
 
 // Tick advances one tick of virtual time.
@@ -507,7 +505,7 @@ func (s *Server) Tick() TickStats {
 	s.queue += arrivals
 	// The queue bound must exceed one tick's arrivals, or it would cap
 	// throughput below the offered rate even with spare capacity.
-	maxQ := float64(s.cfg.MaxQueue)
+	maxQ := float64(maxQueue)
 	if m := 2 * arrivals; maxQ < m {
 		maxQ = m
 	}
@@ -544,7 +542,7 @@ func (s *Server) Tick() TickStats {
 	// point C).
 	var compileBudget float64
 	if s.phase == PhaseOptimizing {
-		compileBudget = budget * float64(min(s.cfg.CompileThreads, s.cfg.Cores)) /
+		compileBudget = budget * float64(min(compileThreads, s.cfg.Cores)) /
 			float64(s.cfg.Cores)
 		budget -= compileBudget
 	}
@@ -560,7 +558,7 @@ func (s *Server) Tick() TickStats {
 		budget -= float64(cycles)
 		s.queue--
 		ts.Completed++
-		latSum += float64(cycles) / s.cfg.ClockHz
+		latSum += float64(cycles) / clockHz
 	}
 	if ts.Completed > 0 {
 		ts.AvgLatencyMS = latSum / float64(ts.Completed) * 1000
@@ -678,7 +676,7 @@ func (s *Server) startupCost() float64 {
 			}
 			s.optTrans[name] = tr
 			compiled++
-			compileCycles += float64(len(fn.Code)) * s.cfg.Tier2CompileCPI
+			compileCycles += float64(len(fn.Code)) * tier2CompileCPI
 		}
 		total += compileCycles / cores
 		s.chargeBG(telemetry.CycleOptimize, compileCycles/cores)
@@ -698,7 +696,7 @@ func (s *Server) startupCost() float64 {
 			relocBytes += tr.HotSize + tr.ColdSize
 		}
 		if err := s.j.RelocateOptimized(s.optTrans, order); err == nil {
-			reloc := float64(relocBytes) * s.cfg.RelocCyclesPerByte / cores
+			reloc := float64(relocBytes) * relocCyclesPerByte / cores
 			total += reloc
 			s.chargeBG(telemetry.CycleReloc, reloc)
 		}
@@ -801,7 +799,7 @@ func (s *Server) advanceOptimization(budget float64) {
 	for budget > 0 && len(s.optQueue) > 0 {
 		fn := s.optQueue[0]
 		if s.optBudget == 0 {
-			s.optBudget = float64(len(fn.Code)) * s.cfg.Tier2CompileCPI
+			s.optBudget = float64(len(fn.Code)) * tier2CompileCPI
 		}
 		if s.optBudget > budget {
 			s.optBudget -= budget
@@ -812,7 +810,7 @@ func (s *Server) advanceOptimization(budget float64) {
 		s.optQueue = s.optQueue[1:]
 		// The full job cost is attributed when the job completes; the
 		// partial spends across earlier ticks sum to the same amount.
-		s.chargeBG(telemetry.CycleOptimize, float64(len(fn.Code))*s.cfg.Tier2CompileCPI)
+		s.chargeBG(telemetry.CycleOptimize, float64(len(fn.Code))*tier2CompileCPI)
 		if tr, err := s.j.CompileOptimized(fn, s.snapshot); err == nil {
 			s.optTrans[fn.Name] = tr
 			if s.relocBudget == 0 {
@@ -829,7 +827,7 @@ func (s *Server) advanceOptimization(budget float64) {
 		for _, tr := range s.optTrans {
 			bytes += tr.HotSize + tr.ColdSize
 		}
-		s.relocBudget = float64(bytes) * s.cfg.RelocCyclesPerByte
+		s.relocBudget = float64(bytes) * relocCyclesPerByte
 		s.relocTotal = s.relocBudget
 	}
 	if s.relocBudget > budget {

@@ -45,10 +45,10 @@ func (t *serverTracer) OnEnter(fn *bytecode.Function) {
 
 	switch s.phase {
 	case PhaseProfiling:
-		if s.j.Active(fn.ID) == nil && t.calls[fn.ID] >= uint32(s.cfg.ProfileTriggerCalls) {
+		if s.j.Active(fn.ID) == nil && t.calls[fn.ID] >= profileTriggerCalls {
 			if _, err := s.j.CompileProfiling(fn); err == nil {
 				s.rt.AddCyclesBucket(
-					uint64(float64(len(fn.Code))*s.cfg.Tier1CompileCPI),
+					uint64(float64(len(fn.Code))*tier1CompileCPI),
 					telemetry.CycleTier1Compile)
 			}
 		}
@@ -57,12 +57,12 @@ func (t *serverTracer) OnEnter(fn *bytecode.Function) {
 		// stopped get live translations until the cache fills
 		// (Figure 1's C→D).
 		if !s.liveFull && s.j.Active(fn.ID) == nil &&
-			t.calls[fn.ID] >= uint32(s.cfg.LiveTriggerCalls) {
+			t.calls[fn.ID] >= liveTriggerCalls {
 			if _, err := s.j.CompileLive(fn); err != nil {
 				s.liveFull = true // point D: JITing ceases
 			} else {
 				s.rt.AddCyclesBucket(
-					uint64(float64(len(fn.Code))*s.cfg.LiveCompileCPI),
+					uint64(float64(len(fn.Code))*liveCompileCPI),
 					telemetry.CycleLiveCompile)
 			}
 		}

@@ -23,11 +23,15 @@ type SiteConfig struct {
 	Seed             uint64
 	Units            int // source files
 	HelpersPerUnit   int // shared library functions per unit
-	ClassesPerUnit   int // class families per unit (base + 2 derived)
 	EndpointsPerUnit int
-	Partitions       int // semantic partitions (paper: 10)
-	LoopMin, LoopMax int // helper loop trip counts
 }
+
+// The site's shape beyond its size is fixed.
+const (
+	classesPerUnit   = 2     // class families per unit (base + 2 derived)
+	partitions       = 10    // semantic partitions (paper: 10)
+	loopMin, loopMax = 4, 16 // helper loop trip counts
+)
 
 // DefaultSiteConfig returns a website of a few hundred functions —
 // large relative to the scaled L1I/LLC, small enough to simulate fast.
@@ -36,11 +40,7 @@ func DefaultSiteConfig() SiteConfig {
 		Seed:             1,
 		Units:            12,
 		HelpersPerUnit:   12,
-		ClassesPerUnit:   2,
 		EndpointsPerUnit: 6,
-		Partitions:       10,
-		LoopMin:          4,
-		LoopMax:          16,
 	}
 }
 
@@ -62,9 +62,6 @@ type Site struct {
 
 // GenerateSite builds and compiles a synthetic website.
 func GenerateSite(cfg SiteConfig) (*Site, error) {
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 10
-	}
 	r := newRNG(cfg.Seed)
 	g := &siteGen{cfg: cfg, r: r}
 	g.generate()
@@ -87,7 +84,7 @@ func GenerateSite(cfg SiteConfig) (*Site, error) {
 		site.Endpoints = append(site.Endpoints, Endpoint{
 			Name:      name,
 			Fn:        fn,
-			Partition: i % cfg.Partitions,
+			Partition: i % partitions,
 		})
 	}
 	return site, nil
@@ -111,7 +108,7 @@ func (g *siteGen) generate() {
 		g.helperNames = append(g.helperNames, fmt.Sprintf("h%d", i))
 	}
 	for u := 0; u < g.cfg.Units; u++ {
-		for k := 0; k < g.cfg.ClassesPerUnit; k++ {
+		for k := 0; k < classesPerUnit; k++ {
 			g.classNames = append(g.classNames, fmt.Sprintf("C%d_%d", u, k))
 		}
 	}
@@ -121,7 +118,7 @@ func (g *siteGen) generate() {
 	for u := 0; u < g.cfg.Units; u++ {
 		var b strings.Builder
 		fmt.Fprintf(&b, "// unit %d (generated)\n", u)
-		for k := 0; k < g.cfg.ClassesPerUnit; k++ {
+		for k := 0; k < classesPerUnit; k++ {
 			g.genClassFamily(&b, u, k)
 		}
 		for k := 0; k < g.cfg.HelpersPerUnit; k++ {
@@ -171,7 +168,7 @@ func (g *siteGen) genClassFamily(b *strings.Builder, u, k int) {
 // acyclic and recursion-free.
 func (g *siteGen) genHelper(b *strings.Builder, hIdx int) {
 	name := g.helperNames[hIdx]
-	loop := g.r.rangeInt(g.cfg.LoopMin, g.cfg.LoopMax)
+	loop := g.r.rangeInt(loopMin, loopMax)
 	c1 := g.r.rangeInt(2, 9)
 	c2 := g.r.rangeInt(11, 97)
 	tailCall := ""

@@ -51,20 +51,13 @@ func (s *Site) NewTraffic(region, bucket int, seed uint64) *Traffic {
 		// ones, which is what drives the paper's long C→D live-JIT
 		// phase (Figure 1) and the slow climb from 90% to peak.
 		w := 0.01 + r*r*r
-		if ep.Partition != bucket%maxInt(1, s.Config.Partitions) {
-			w *= SpillFraction / float64(maxInt(1, s.Config.Partitions-1))
+		if ep.Partition != bucket%partitions {
+			w *= SpillFraction / float64(partitions-1)
 		}
 		total += w
 		t.cum[i] = total
 	}
 	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Next draws the next request.

@@ -109,7 +109,7 @@ func TestPartitionsAssigned(t *testing.T) {
 	}
 	seen := map[int]int{}
 	for _, ep := range site.Endpoints {
-		if ep.Partition < 0 || ep.Partition >= site.Config.Partitions {
+		if ep.Partition < 0 || ep.Partition >= partitions {
 			t.Fatalf("partition %d out of range", ep.Partition)
 		}
 		seen[ep.Partition]++
