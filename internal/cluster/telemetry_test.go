@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"jumpstart/internal/telemetry"
@@ -8,9 +9,8 @@ import (
 
 // TestFleetTelemetryZeroPerturbation is the fleet half of the
 // zero-perturbation contract: the tick series must be identical with
-// telemetry on or off, at every worker count — the per-shard
-// collectors merged in shard-index order may not leak into the
-// simulation.
+// telemetry on or off, at every worker count, and the metrics snapshot
+// must be byte-identical at every worker count.
 func TestFleetTelemetryZeroPerturbation(t *testing.T) {
 	run := func(workers int, tel *telemetry.Set) ([]FleetTick, int, int) {
 		cfg := DefaultConfig()
@@ -35,7 +35,8 @@ func TestFleetTelemetryZeroPerturbation(t *testing.T) {
 	}
 
 	var lastTel *telemetry.Set
-	for _, w := range []int{1, 4, 0} { // 0 = one worker per CPU
+	var firstMetrics []byte
+	for _, w := range []int{1, 2, 3, 4, 0} { // 0 = one worker per CPU
 		for _, withTel := range []bool{false, true} {
 			var tel *telemetry.Set
 			if withTel {
@@ -56,6 +57,19 @@ func TestFleetTelemetryZeroPerturbation(t *testing.T) {
 						w, withTel, i, base[i], ticks[i])
 				}
 			}
+			if !withTel {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := tel.Metrics.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if firstMetrics == nil {
+				firstMetrics = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), firstMetrics) {
+				t.Fatalf("workers=%d: metrics snapshot differs from workers=1:\n  first %s\n  got   %s",
+					w, firstMetrics, buf.Bytes())
+			}
 		}
 	}
 
@@ -66,7 +80,7 @@ func TestFleetTelemetryZeroPerturbation(t *testing.T) {
 	if got := lastTel.Metrics.Counter("fleet.fallbacks_total").Value(); got != uint64(fallbacks) {
 		t.Fatalf("fallback counter %d, want %d", got, fallbacks)
 	}
-	// Shard collectors: one step per server per tick must have merged.
+	// One step per server per tick.
 	wantSteps := uint64(len(base)) * uint64(3*10*24)
 	if got := lastTel.Metrics.Counter("fleet.steps_total").Value(); got != wantSteps {
 		t.Fatalf("steps counter %d, want %d", got, wantSteps)

@@ -6,8 +6,9 @@
 // The determinism contract callers must uphold: a task may not draw
 // from shared mutable state (in particular, a shared PRNG). Tasks that
 // need randomness derive an independent stream with workload.Fork and
-// the task index; any remaining shared draws stay on a sequential path
-// outside the fan-out (see cluster.Fleet.Tick for the pattern).
+// the task index; any remaining shared draws, and every metric, stay on
+// a sequential path outside the fan-out that walks the results in task
+// order (see cluster.Fleet.Tick for the pattern).
 package parallel
 
 import "runtime"
@@ -87,18 +88,9 @@ func ForEach(workers, n int, fn func(i int)) {
 // per-item work is tiny and uniform (e.g. one fleet server per item):
 // the per-tick cost is workers goroutine handoffs, not n.
 func ForEachShard(workers, n int, fn func(lo, hi int)) {
-	ForEachShardIndexed(workers, n, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForEachShardIndexed is ForEachShard with the shard's index passed to
-// fn. The index identifies shard-private state (per-shard telemetry
-// collectors, scratch buffers) that the caller merges in index order
-// afterwards; shard boundaries depend only on (workers, n), so the
-// index→range mapping is deterministic.
-func ForEachShardIndexed(workers, n int, fn func(shard, lo, hi int)) {
 	workers = Workers(workers, n)
 	if workers == 1 {
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	per := (n + workers - 1) / workers
@@ -109,20 +101,13 @@ func ForEachShardIndexed(workers, n int, fn func(shard, lo, hi int)) {
 		if hi > n {
 			hi = n
 		}
-		go func(shard, lo, hi int) {
-			fn(shard, lo, hi)
+		go func(lo, hi int) {
+			fn(lo, hi)
 			done <- struct{}{}
-		}(launched, lo, hi)
+		}(lo, hi)
 		launched++
 	}
 	for i := 0; i < launched; i++ {
 		<-done
 	}
-}
-
-// ShardCount returns the number of shards ForEachShardIndexed will
-// launch for (workers, n) — the size callers need to preallocate
-// shard-private state.
-func ShardCount(workers, n int) int {
-	return Workers(workers, n)
 }

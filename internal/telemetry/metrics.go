@@ -50,20 +50,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adds delta (compare-and-swap loop; gauges are low-frequency).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		want := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, want) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -262,65 +248,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// MergeInto folds this registry's instruments into dst: counters and
-// histogram buckets add, gauges add. Intended for per-shard registries
-// whose shards are merged in task-index order after a parallel phase.
-func (r *Registry) MergeInto(dst *Registry) {
-	if r == nil || dst == nil {
-		return
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		dst.Counter(name).Add(c.Value())
-	}
-	for name, g := range r.gauges {
-		dst.Gauge(name).Add(g.Value())
-	}
-	for name, h := range r.hists {
-		bounds, counts := h.Buckets()
-		dh := dst.Histogram(name, bounds)
-		for i, n := range counts {
-			if n != 0 {
-				dh.counts[i].Add(n)
-			}
-		}
-		dh.count.Add(h.Count())
-		if s := h.Sum(); s != 0 {
-			for {
-				old := dh.sum.Load()
-				want := math.Float64bits(math.Float64frombits(old) + s)
-				if dh.sum.CompareAndSwap(old, want) {
-					break
-				}
-			}
-		}
-	}
-}
-
-// Reset zeroes every registered instrument (the shard-reuse path; the
-// instrument handles stay valid).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-	}
-}
-
 // WriteJSON writes a deterministic JSON snapshot: instruments grouped
 // by kind, names sorted.
 func (r *Registry) WriteJSON(w io.Writer) error {
@@ -408,58 +335,6 @@ func appendJSONFloat(b []byte, v float64) []byte {
 		return strconv.AppendInt(b, int64(v), 10)
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// Shards gives each worker of a parallel fan-out its own Registry and
-// folds them into a base registry in shard-index order afterwards —
-// the pattern that keeps cluster.Fleet.Tick byte-identical at every
-// worker count while still collecting per-server metrics inside the
-// sharded phase.
-type Shards struct {
-	base   *Registry
-	shards []*Registry
-}
-
-// NewShards builds n shard registries feeding base. A nil base returns
-// a nil (no-op) Shards.
-func NewShards(base *Registry, n int) *Shards {
-	if base == nil || n <= 0 {
-		return nil
-	}
-	s := &Shards{base: base, shards: make([]*Registry, n)}
-	for i := range s.shards {
-		s.shards[i] = NewRegistry()
-	}
-	return s
-}
-
-// Len returns the shard count.
-func (s *Shards) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.shards)
-}
-
-// Shard returns shard i's registry (nil on a nil Shards).
-func (s *Shards) Shard(i int) *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.shards[i]
-}
-
-// Merge folds every shard into the base in index order and resets the
-// shards for reuse. Call it from the sequential merge phase, after all
-// shard goroutines have finished.
-func (s *Shards) Merge() {
-	if s == nil {
-		return
-	}
-	for _, sh := range s.shards {
-		sh.MergeInto(s.base)
-		sh.Reset()
-	}
 }
 
 // String summarizes the registry (instrument counts), for debugging.

@@ -18,9 +18,9 @@
 // lets cmd/jumpstartd serve a live /metrics endpoint while the
 // simulation runs. Trace and CycleProfile are single-writer: they
 // must only be touched from the goroutine driving the simulation
-// (exports happen after the run, or from the same goroutine). For
-// parallel fan-out, give each shard its own Registry via Shards and
-// merge in task-index order.
+// (exports happen after the run, or from the same goroutine). Code
+// with a parallel fan-out records its metrics after the join, in
+// task-index order, so snapshots do not depend on the worker count.
 package telemetry
 
 // Set bundles the three instruments behind one handle. A nil *Set —
