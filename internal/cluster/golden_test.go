@@ -130,75 +130,75 @@ var goldenCases = []struct {
 var goldenDigests = map[string]struct{ sim, trace string }{
 	"defects-direct": {
 		sim:   "08d756f902a2edee734e7b48",
-		trace: "9553ebb87dc36384d2fdea41",
+		trace: "d7885ab3b348b183e8f3b024",
 	},
 	"churn-direct": {
 		sim:   "4a6d767a07825f5227c4cf17",
-		trace: "1b521162eb1b974f849762df",
+		trace: "dba2824d9dffa99e852ae033",
 	},
 	"churn-transport": {
 		sim:   "d1b312bcfb367e92b951480e",
-		trace: "d26f4612a78c0676efedd450",
+		trace: "6053f228fc55e1baedf595f0",
 	},
 	"churn-multistore": {
 		sim:   "64689c398537b4c2305215f5",
-		trace: "f11d10794be4f9da04e756fd",
+		trace: "967f239790d3d983a2f62392",
 	},
 	"brownout-transport": {
 		sim:   "a0403cefc89bab83e217e56a",
-		trace: "69c710609da451a1a7e0e8ba",
+		trace: "4a37e3fff98ed469078e5a73",
 	},
 	"regions-brownout": {
 		sim:   "44cfb673b7ab882849ef2e4e",
-		trace: "0cd8eab74ea37e934b3fec0c",
+		trace: "7e3a0a3bf194c13d0b497cde",
 	},
 	"pooled-lazy": {
 		sim:   "3b67cc8477e890dd6b7ca9c4",
-		trace: "c75b967fa3c450ea9f1d6fbb",
+		trace: "df992571f9d58ee14c228f1f",
 	},
 	"scenario-diurnal": {
 		sim:   "6efde58cdff74a0cb00a492d",
-		trace: "192c3fe80a2a03986b2e99ae",
+		trace: "90326ce8311b04d0e10e9ebe",
 	},
 	"scenario-flashcrowd": {
 		sim:   "ccb17433e126576c40c18b8d",
-		trace: "057fa2bf8f652e4f7c3505e3",
+		trace: "60b8e10c3ce0b47674e48fec",
 	},
 	"scenario-failover": {
 		sim:   "d3d22eca452b58c9f53b29c6",
-		trace: "380799f601b2e6fc33c5d407",
+		trace: "4c65d7b6142faf89b391fc13",
 	},
 	"span-direct-defects": {
 		sim:   "4dcd91c6c9fd591aad4f2b6c",
-		trace: "98709b1c4915b1c35a6a5568",
+		trace: "155eda1760c14e12dab1b42b",
 	},
 	"span-transport": {
 		sim:   "9bab8430bc3f65bc36825ee3",
-		trace: "fa6fe403e945214737ecb3aa",
+		trace: "e650436e969ee84dfed0266c",
 	},
 	"span-multistore": {
 		sim:   "8cf2c2c8299e1f19e598aecc",
-		trace: "12b228e68ee6e1d040b389e0",
+		trace: "61125f71cade47daa2ef4572",
 	},
 	"outage-multistore": {
 		sim:   "69ab6c6c16a4ea2ab07a4d08",
-		trace: "8c981abf7b7b25b9da6d7dcf",
+		trace: "ea37a9970c2d87836170b527",
 	},
 	"defects-transport": {
 		sim:   "bb9e82c8517eca246dd17fe0",
-		trace: "ca7b26e925de7a99a0e82f39",
+		trace: "0cb0726703ca19138fad124a",
 	},
 	"allflavours-multistore": {
 		sim:   "9d5ab5ed4a795927891124da",
-		trace: "0b0b774f9302558047143cf1",
+		trace: "8e0c4c23e26658ace28e627b",
 	},
 	"allflavours-direct-nocurves": {
 		sim:   "b3f8b0226af78e71720e7f13",
-		trace: "e2225d5c33008cb8ed7935b2",
+		trace: "b09c55a25d40bed74e43ed86",
 	},
 	"exact-only-transport-lazy": {
 		sim:   "8419ab0aa33a75ad32961264",
-		trace: "c48ef7637f4f4cfb775e31cf",
+		trace: "193ee6ebc4c47852c1646077",
 	},
 }
 
