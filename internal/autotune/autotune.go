@@ -16,51 +16,38 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"jumpstart/internal/jumpstart"
 	"jumpstart/internal/parallel"
 )
 
 // Knobs is one point in the policy space: the deployment-cadence,
-// compatibility, warm-pool, warmup-mode, and fetch-budget settings a
-// fleet operator actually controls.
+// compatibility, warm-pool and warmup-mode settings a fleet operator
+// actually controls.
 type Knobs struct {
-	PushEvery        float64 // push cadence in virtual seconds (0 = manual pushes)
-	CompatPolicy     jumpstart.CompatPolicy
-	PoolSize         int     // warm-pool standbys (0 = no pool tier)
-	PoolBackfillRate float64 // pool re-admissions per second (0 = unthrottled)
-	WarmupMode       jumpstart.WarmupMode
-	FetchBudget      float64 // per-boot fetch deadline in seconds (0 = default)
+	PushEvery    float64 // push cadence in virtual seconds (0 = manual pushes)
+	CompatPolicy jumpstart.CompatPolicy
+	PoolSize     int // warm-pool standbys (0 = no pool tier)
+	WarmupMode   jumpstart.WarmupMode
 }
 
 // String renders the knobs compactly and deterministically — the key
 // used in recommendation tables.
 func (k Knobs) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "push=%g compat=%s pool=%d", k.PushEvery, k.CompatPolicy, k.PoolSize)
-	if k.PoolSize > 0 && k.PoolBackfillRate > 0 {
-		fmt.Fprintf(&b, "@%g/s", k.PoolBackfillRate)
-	}
-	fmt.Fprintf(&b, " warmup=%s", k.WarmupMode)
-	if k.FetchBudget > 0 {
-		fmt.Fprintf(&b, " fetch=%gs", k.FetchBudget)
-	}
-	return b.String()
+	return fmt.Sprintf("push=%g compat=%s pool=%d warmup=%s",
+		k.PushEvery, k.CompatPolicy, k.PoolSize, k.WarmupMode)
 }
 
 // Grid spans the candidate set: the cross product of every non-empty
 // axis, with empty axes pinned to Base's value. Axis order (and thus
-// candidate index order) is fixed: PushEvery outermost, FetchBudget
+// candidate index order) is fixed: PushEvery outermost, WarmupMode
 // innermost.
 type Grid struct {
-	Base             Knobs
-	PushEvery        []float64
-	CompatPolicy     []jumpstart.CompatPolicy
-	PoolSize         []int
-	PoolBackfillRate []float64
-	WarmupMode       []jumpstart.WarmupMode
-	FetchBudget      []float64
+	Base         Knobs
+	PushEvery    []float64
+	CompatPolicy []jumpstart.CompatPolicy
+	PoolSize     []int
+	WarmupMode   []jumpstart.WarmupMode
 }
 
 // Candidates enumerates the grid in deterministic order.
@@ -77,35 +64,21 @@ func (g Grid) Candidates() []Knobs {
 	if len(pool) == 0 {
 		pool = []int{g.Base.PoolSize}
 	}
-	backfill := g.PoolBackfillRate
-	if len(backfill) == 0 {
-		backfill = []float64{g.Base.PoolBackfillRate}
-	}
 	warm := g.WarmupMode
 	if len(warm) == 0 {
 		warm = []jumpstart.WarmupMode{g.Base.WarmupMode}
-	}
-	fetch := g.FetchBudget
-	if len(fetch) == 0 {
-		fetch = []float64{g.Base.FetchBudget}
 	}
 	var out []Knobs
 	for _, pe := range push {
 		for _, cp := range compat {
 			for _, ps := range pool {
-				for _, bf := range backfill {
-					for _, wm := range warm {
-						for _, fb := range fetch {
-							out = append(out, Knobs{
-								PushEvery:        pe,
-								CompatPolicy:     cp,
-								PoolSize:         ps,
-								PoolBackfillRate: bf,
-								WarmupMode:       wm,
-								FetchBudget:      fb,
-							})
-						}
-					}
+				for _, wm := range warm {
+					out = append(out, Knobs{
+						PushEvery:    pe,
+						CompatPolicy: cp,
+						PoolSize:     ps,
+						WarmupMode:   wm,
+					})
 				}
 			}
 		}

@@ -65,18 +65,8 @@ type PropLayoutAblation struct {
 // PropLayout runs the property-layout ablation.
 func (l *Lab) PropLayout() (PropLayoutAblation, error) {
 	measure := func(hotness bool) (server.SteadyStats, error) {
-		cfg := l.Cfg.ServerCfg
-		cfg.Mode = server.ModeConsumer
-		cfg.Package = l.clonePkg()
-		cfg.UsePropertyOrder = hotness
-		s, err := server.New(l.Scenario.Site, cfg)
-		if err != nil {
-			return server.SteadyStats{}, err
-		}
-		if err := s.WarmToServing(14400); err != nil {
-			return server.SteadyStats{}, err
-		}
-		return s.MeasureSteady(l.Cfg.SteadyRequests), nil
+		v := core.Variant{JumpStart: true, PropertyOrder: hotness}
+		return l.Scenario.SteadyState(v, l.clonePkg(), l.Cfg.SteadyRequests)
 	}
 	policies := []bool{false, true}
 	stats, err := parallel.MapErr(l.Cfg.Workers, len(policies), func(i int) (server.SteadyStats, error) {

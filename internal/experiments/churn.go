@@ -159,13 +159,8 @@ func (l *Lab) churnRate(rate, steady float64) (ChurnRate, error) {
 	if err != nil {
 		return ChurnRate{}, err
 	}
-	cfg := l.Cfg.ServerCfg
-	cfg.Mode = server.ModeConsumer
-	cfg.Package = remapped
-	cfg.JITOpts.UseVasmCounters = true
-	cfg.JITOpts.UseSeededCallGraph = true
-	cfg.UsePropertyOrder = true
-	srv, err := server.New(site1, cfg)
+	sc := core.Scenario{Site: site1, ServerCfg: l.Scenario.ServerCfg}
+	srv, err := sc.ServerFor(core.FullJumpStart(), remapped)
 	if err != nil {
 		return ChurnRate{}, fmt.Errorf("experiments: remapped consumer boot (rate %.2f): %w", rate, err)
 	}

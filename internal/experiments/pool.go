@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"jumpstart/internal/cluster"
+	"jumpstart/internal/core"
 	"jumpstart/internal/jumpstart"
 	"jumpstart/internal/jumpstart/transport"
 	"jumpstart/internal/netsim"
@@ -95,15 +96,10 @@ func (l *Lab) lazyWarmup(net netsim.Config) ([]server.TickStats, server.LazyStat
 	}
 	pager := transport.NewLazyPager(cli, res.Manifest)
 
-	cfg := l.Cfg.ServerCfg
-	cfg.Mode = server.ModeConsumer
-	cfg.Package = pkg
-	cfg.JITOpts.UseVasmCounters = true
-	cfg.JITOpts.UseSeededCallGraph = true
-	cfg.UsePropertyOrder = true
-	cfg.LazyWarmup = true
-	cfg.Pager = pager
-	s, err := server.New(l.Scenario.Site, cfg)
+	sc := *l.Scenario
+	sc.ServerCfg.LazyWarmup = true
+	sc.ServerCfg.Pager = pager
+	s, err := sc.ServerFor(core.FullJumpStart(), pkg)
 	if err != nil {
 		return nil, server.LazyStats{}, nil, err
 	}

@@ -179,22 +179,9 @@ func (l *Lab) regions() (RegionsResult, error) {
 // from the given seed — core.SeedPackage with a per-seeder request
 // mix.
 func (l *Lab) seedPackageWithSeed(seed uint64) (*prof.Profile, error) {
-	cfg := l.Cfg.ServerCfg
-	cfg.Seed = seed
-	cfg.Mode = server.ModeSeeder
-	cfg.JITOpts.InstrumentOptimized = true
-	s, err := server.New(l.Scenario.Site, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.WarmToServing(7200); err != nil {
-		return nil, err
-	}
-	pkg, ok := s.SeederPackage()
-	if !ok {
-		return nil, fmt.Errorf("experiments: seeder %d produced no package", seed)
-	}
-	return pkg, nil
+	sc := *l.Scenario
+	sc.ServerCfg.Seed = seed
+	return sc.SeedPackage()
 }
 
 // regionsFleet runs the multi-region fleet once: 3-node shards per

@@ -7,7 +7,6 @@ import (
 	"jumpstart/internal/autotune"
 	"jumpstart/internal/cluster"
 	"jumpstart/internal/jumpstart"
-	"jumpstart/internal/jumpstart/transport"
 	"jumpstart/internal/obs"
 	"jumpstart/internal/parallel"
 	"jumpstart/internal/scenario"
@@ -99,15 +98,9 @@ func (l *Lab) tuneEvaluate(k autotune.Knobs, kind scenario.Kind, budget float64,
 			cfg.RemapHitRate = tuneRemapHitRate
 		}
 		cfg.PoolSize = k.PoolSize
-		cfg.PoolBackfillRate = k.PoolBackfillRate
 		cfg.WarmupMode = k.WarmupMode
 		if k.WarmupMode == jumpstart.WarmupLazy {
 			cfg.CurveLazy = lazyCurve
-		}
-		if k.FetchBudget > 0 {
-			cc := transport.DefaultClientConfig()
-			cc.Budget = k.FetchBudget
-			cfg.Transport = &cluster.TransportConfig{Client: cc}
 		}
 		cfg.Scenario = eng
 		cfg.CurveFailover = curves[0].Stretch(failoverStretch)

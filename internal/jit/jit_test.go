@@ -307,7 +307,7 @@ func TestHarvestVasmCountsAndLayoutAccuracy(t *testing.T) {
 	// The V-A layout should produce a hot section no larger than the
 	// bytecode-derived one (guards moved out).
 	jb := New(w.prog, DefaultOptions(), NewCodeCache(DefaultCacheConfig()))
-	trB, err := jb.CompileOptimized(fn, p2noVasm(p))
+	trB, err := jb.CompileOptimized(fn, p2noVasm(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +316,13 @@ func TestHarvestVasmCountsAndLayoutAccuracy(t *testing.T) {
 	}
 }
 
-// p2noVasm strips vasm counters (deep enough for the test).
-func p2noVasm(p *prof.Profile) *prof.Profile {
-	q := prof.NewProfile()
-	p.MergeInto(q)
-	q.Meta = p.Meta
+// p2noVasm returns a copy of p without vasm counters.
+func p2noVasm(t *testing.T, p *prof.Profile) *prof.Profile {
+	t.Helper()
+	q, err := prof.Decode(p.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, fp := range q.Funcs {
 		fp.VasmCounts = nil
 	}

@@ -346,25 +346,6 @@ func TestPropDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-func TestMergeInto(t *testing.T) {
-	col1, _ := profiledRun(t, 50)
-	col2, _ := profiledRun(t, 30)
-	p1 := col1.Snapshot(Meta{})
-	p2 := col2.Snapshot(Meta{})
-	merged := NewProfile()
-	p1.MergeInto(merged)
-	p2.MergeInto(merged)
-	if merged.Funcs["tally"].EntryCount != p1.Funcs["tally"].EntryCount+p2.Funcs["tally"].EntryCount {
-		t.Fatal("entry counts not summed")
-	}
-	if merged.Meta.RequestCount != 2 {
-		t.Fatalf("requests = %d", merged.Meta.RequestCount)
-	}
-	if len(merged.Units) != 1 {
-		t.Fatalf("units = %v", merged.Units)
-	}
-}
-
 func TestChecksumDetectsCodeChange(t *testing.T) {
 	prog1, err := hackc.CompileSources(
 		map[string]string{"m.mh": `fun f(x) { return x + 1; }`}, []string{"m.mh"}, hackc.Options{})

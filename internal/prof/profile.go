@@ -235,68 +235,3 @@ func (fp *FuncProfile) MonoTypes(pc int32) (a, b uint8, mono bool) {
 	}
 	return 0, 0, false
 }
-
-// MergeInto adds src's counters into dst (used by multi-seeder tests
-// and by the JIT-debugging replay example).
-func (p *Profile) MergeInto(dst *Profile) {
-	seen := make(map[string]bool, len(dst.Units))
-	for _, u := range dst.Units {
-		seen[u] = true
-	}
-	for _, u := range p.Units {
-		if !seen[u] {
-			dst.Units = append(dst.Units, u)
-			seen[u] = true
-		}
-	}
-	for name, fp := range p.Funcs {
-		d, ok := dst.Funcs[name]
-		if !ok {
-			d = &FuncProfile{
-				Checksum:    fp.Checksum,
-				BlockCounts: make([]uint64, len(fp.BlockCounts)),
-				EdgeCounts:  map[EdgeKey]uint64{},
-				CallTargets: map[int32]map[string]uint64{},
-				TypeObs:     map[int32]map[uint16]uint64{},
-			}
-			dst.Funcs[name] = d
-		}
-		if d.Checksum != fp.Checksum || len(d.BlockCounts) != len(fp.BlockCounts) {
-			continue // incompatible shapes never merge
-		}
-		d.EntryCount += fp.EntryCount
-		for i, n := range fp.BlockCounts {
-			d.BlockCounts[i] += n
-		}
-		for k, n := range fp.EdgeCounts {
-			d.EdgeCounts[k] += n
-		}
-		for pc, targets := range fp.CallTargets {
-			dt := d.CallTargets[pc]
-			if dt == nil {
-				dt = map[string]uint64{}
-				d.CallTargets[pc] = dt
-			}
-			for name, n := range targets {
-				dt[name] += n
-			}
-		}
-		for pc, obs := range fp.TypeObs {
-			dobs := d.TypeObs[pc]
-			if dobs == nil {
-				dobs = map[uint16]uint64{}
-				d.TypeObs[pc] = dobs
-			}
-			for k, n := range obs {
-				dobs[k] += n
-			}
-		}
-	}
-	for k, n := range p.Props {
-		dst.Props[k] += n
-	}
-	for k, n := range p.CallPairs {
-		dst.CallPairs[k] += n
-	}
-	dst.Meta.RequestCount += p.Meta.RequestCount
-}
