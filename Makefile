@@ -34,12 +34,15 @@ bench:
 # machinery allocations, a presized packed array at two (header +
 # values), object creation at a slab refill per many objects, Ext-TSP
 # at its per-call buffers, the steady-state request path under its
-# per-request ceiling, and the store's crash-retry pick path
-# (exclusion lists in force) at zero allocations.
+# per-request ceiling, the store's crash-retry pick path (exclusion
+# lists in force) at zero allocations, a quiet fleet Tick at
+# parallel.ForEachShard's fixed cost with a C3 wave restart at zero,
+# and every telemetry call on a nil set at zero.
 alloccheck:
 	$(GO) test -count=1 -v -run 'AllocFree|AllocRegression|TestStreamAllocFree' \
 		./internal/interp/ ./internal/microarch/ ./internal/server/ \
-		./internal/jumpstart/ ./internal/object/ ./internal/layout/
+		./internal/jumpstart/ ./internal/object/ ./internal/layout/ \
+		./internal/cluster/ ./internal/telemetry/
 
 # CI gate: vet plus the full suite under the race detector. The
 # parallel-vs-sequential determinism tests run here, so this also

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"jumpstart/internal/server"
@@ -157,6 +158,30 @@ func TestFleetDeploymentPhases(t *testing.T) {
 	last := ticks[len(ticks)-1]
 	if last.PkgsAvail < 2*10 {
 		t.Fatalf("packages = %d, want ≥ one per (region,bucket)", last.PkgsAvail)
+	}
+}
+
+// TestFleetLayout pins the two layout facts Tick and the restarts rely
+// on: servers are region-major (each region's capacity is a contiguous
+// sum) and each group's member list is exactly its servers, ascending.
+func TestFleetLayout(t *testing.T) {
+	f, err := NewFleet(fleetConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRegion := f.cfg.Buckets * f.cfg.ServersPerBucket
+	var want [4][]int
+	for i := range f.servers {
+		s := &f.servers[i]
+		if s.idx != i || s.region != i/perRegion {
+			t.Fatalf("server %d: idx %d region %d, want region-major layout", i, s.idx, s.region)
+		}
+		want[s.group] = append(want[s.group], i)
+	}
+	for g := 1; g <= 3; g++ {
+		if len(want[g]) == 0 || !slices.Equal(f.members[g], want[g]) {
+			t.Fatalf("group %d members = %v, want %v", g, f.members[g], want[g])
+		}
 	}
 }
 

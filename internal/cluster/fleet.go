@@ -156,8 +156,8 @@ type Config struct {
 	// telemetry are byte-identical at every worker count: per-server
 	// stepping is independent, while every fleet-level RNG draw
 	// (package picks, defect rolls), every metric and the
-	// floating-point capacity reduction happen on a single sequential
-	// pass in server-index order.
+	// floating-point capacity reduction happen on the sequential merge
+	// passes in server-index order.
 	Workers int
 
 	// RecordSeries, when true, retains each server's per-tick capacity
@@ -322,6 +322,9 @@ type pkgInfo struct {
 type Fleet struct {
 	cfg     Config
 	servers []simServer
+	// members lists each deployment group's server indices, ascending
+	// (indexed by group 1..3; [0] is unused).
+	members [4][]int
 	// packages per (region, bucket).
 	packages map[[2]int][]pkgInfo
 	now      float64
@@ -377,9 +380,11 @@ type Fleet struct {
 	curves       curveTable
 	modeFlavours flavourSet
 
-	// scratch is the reusable per-tick result buffer for the parallel
-	// server-stepping phase.
-	scratch []srvTick
+	// flags and caps are the reusable per-tick result buffers of the
+	// parallel server-stepping phase: each server's outcome and
+	// capacity, indexed like servers.
+	flags []srvTick
+	caps  []float64
 
 	// Observability samples (allocated only under Config.RecordSeries;
 	// appended in the sequential merge phase, server-index order).
@@ -441,6 +446,9 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		// At least one seeder per (region, bucket) pair.
 		n2 = cfg.Regions * cfg.Buckets
 	}
+	// Servers are laid out region-major: Tick sums each region's
+	// capacity over a contiguous index range.
+	f.servers = make([]simServer, 0, total)
 	idx := 0
 	for r := 0; r < cfg.Regions; r++ {
 		for b := 0; b < cfg.Buckets; b++ {
@@ -462,6 +470,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 					s.group = 3
 				}
 				f.servers = append(f.servers, s)
+				f.members[s.group] = append(f.members[s.group], idx)
 				idx++
 			}
 		}
@@ -603,73 +612,75 @@ type FleetTick struct {
 	RegionsDark  int     // regions a failover drill has taken down this tick
 }
 
-// srvTick is one server's contribution to a tick, produced by the
-// parallel phase and merged sequentially.
-type srvTick struct {
-	capacity      float64
-	down, warming int
-	crashed       bool // increments the fleet crash counter
-	warmed        bool // reached steady capacity this tick: spans close in the merge
-	needsBoot     bool // bootServer draws fleet RNG: deferred to the merge
-	needsPublish  bool // publishFrom draws fleet RNG: deferred to the merge
-}
+// srvTick is one server's outcome for a tick, produced by the parallel
+// phase and merged sequentially: a bit set, so the merge pass reads one
+// byte per server and skips the zero (steady, nothing to do) ones. The
+// server's capacity travels separately, in Fleet.caps.
+type srvTick uint8
 
-// stepServer advances one server's state machine for the current tick.
-// It touches only that server's fields (safe to run concurrently
-// across servers) and flags — rather than performs — every action that
-// draws from the shared fleet RNG.
-func (f *Fleet) stepServer(s *simServer) srvTick {
-	var r srvTick
+const (
+	tkDown         srvTick = 1 << iota // not serving at all
+	tkWarming                          // below steady capacity
+	tkCrashed                          // increments the fleet crash counter
+	tkWarmed                           // reached steady capacity this tick: spans close in the merge
+	tkNeedsBoot                        // bootServer draws fleet RNG: deferred to the merge
+	tkNeedsPublish                     // publishFrom draws fleet RNG: deferred to the merge
+
+	// tkActions are the bits whose merge action reads or writes the
+	// server itself.
+	tkActions = tkCrashed | tkWarmed | tkNeedsBoot | tkNeedsPublish
+)
+
+// stepServer advances one server's state machine for the current tick
+// and returns its outcome flags and capacity. It touches only that
+// server's fields (safe to run concurrently across servers) and flags —
+// rather than performs — every action that draws from the shared fleet
+// RNG.
+func (f *Fleet) stepServer(s *simServer) (srvTick, float64) {
 	// Defective-package crash (Section VI-A2's failure mode): a
 	// bad package can take the server down whether it is still
 	// warming or already at full capacity.
 	if (s.state == stWarming || s.state == stRunning) &&
 		s.crashAt > 0 && f.now >= s.crashAt {
-		r.crashed = true
 		s.everCrashd++
 		s.crashAt = 0
 		s.state = stDown
 		s.stateT = f.now
-		r.down = 1
-		return r
+		return tkCrashed | tkDown, 0
 	}
 	switch s.state {
-	case stRunning:
-		r.capacity = 1
 	case stDown:
-		r.down = 1
 		if f.now-s.stateT >= restartDowntime {
-			r.needsBoot = true
+			return tkDown | tkNeedsBoot, 0
 		}
+		return tkDown, 0
 	case stSeeding:
 		// Seeders serve while collecting (they run the normal
 		// no-JS warmup curve), then publish.
-		r.capacity = s.curve.At(f.now - s.stateT)
+		v := s.curve.At(f.now - s.stateT)
 		if f.now-s.stateT >= f.cfg.SeederDuration {
-			r.needsPublish = true
 			s.state = stWarming // continue warming as usual
-		} else {
-			r.warming = 1
+			return tkNeedsPublish, v
 		}
+		return tkWarming, v
 	case stWarming:
 		v := s.curve.At(f.now - s.stateT)
-		r.capacity = v
 		if v >= s.curve.SteadyValue()-1e-9 {
 			s.state = stRunning
 			// Only the flag: recording the warmup span draws a trace
 			// sequence number, which must happen on the sequential
 			// merge pass to stay worker-count deterministic.
-			r.warmed = true
-		} else {
-			r.warming = 1
+			return tkWarmed, v
 		}
+		return tkWarming, v
 	}
-	return r
+	// stRunning: steady capacity, nothing to merge.
+	return 0, 1
 }
 
 // Tick advances the fleet one step. Per-server replay is sharded
-// across cfg.Workers goroutines; the merge below then walks the
-// results in server-index order, so the RNG draw sequence, the
+// across cfg.Workers goroutines; the two merge passes below then walk
+// the results in server-index order, so the RNG draw sequence, the
 // floating-point capacity sum and every metric are exactly those of a
 // sequential run.
 func (f *Fleet) Tick() FleetTick {
@@ -699,67 +710,57 @@ func (f *Fleet) Tick() FleetTick {
 	f.propOK += transferred
 	f.propFail += failed
 
-	if cap(f.scratch) < len(f.servers) {
-		f.scratch = make([]srvTick, len(f.servers))
+	n := len(f.servers)
+	if len(f.flags) < n {
+		f.flags = make([]srvTick, n)
+		f.caps = make([]float64, n)
 	}
-	res := f.scratch[:len(f.servers)]
-	parallel.ForEachShard(f.cfg.Workers, len(f.servers), func(lo, hi int) {
+	flags, caps := f.flags[:n], f.caps[:n]
+	parallel.ForEachShard(f.cfg.Workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			res[i] = f.stepServer(&f.servers[i])
+			flags[i], caps[i] = f.stepServer(&f.servers[i])
 		}
 	})
-	f.cSteps.Add(uint64(len(res)))
+	f.cSteps.Add(uint64(n))
 
-	capacity := 0.0
+	// Pass 1: counts, the warmup histogram and every action, in index
+	// order. A server record is read only when an action bit is set.
 	down, warming := 0, 0
-	for r := range f.regionCap {
-		f.regionCap[r] = 0
-	}
-	for i := range res {
-		r := &res[i]
-		s := &f.servers[i]
-		if r.crashed {
-			f.crashes++
-			f.cCrashes.Inc()
-			f.tel.Event(f.now, "fleet", "crash",
-				telemetry.I("server", int64(i)),
-				telemetry.I("region", int64(s.region)),
-				telemetry.I("bucket", int64(s.bucket)))
-			// The boot never reached steady capacity.
-			f.closeBootSpan(s, "crash")
+	for i, fl := range flags {
+		if fl == 0 {
+			continue
 		}
-		if r.warmed && s.bootSpan != 0 {
-			// The server reached steady capacity this tick: the warmup
-			// span tiles [warmup start, now] and the boot span closes
-			// over [boot start, now] — children (fetch + warmup) sum
-			// exactly to the parent duration.
-			f.tel.SpanUnder(s.bootSpan, s.stateT, f.now, "boot", "warmup",
-				telemetry.B("jumpstart", s.usedJS))
-			f.closeBootSpan(s, "warmed")
-			if f.cfg.RecordSeries {
-				f.bootLat = append(f.bootLat, f.now-s.bootT)
-				f.tts = append(f.tts, f.now-s.stateT)
+		if fl&tkDown != 0 {
+			down++
+		}
+		if fl&tkWarming != 0 {
+			warming++
+			if f.hWarm != nil {
+				f.hWarm.Observe(caps[i])
 			}
 		}
-		// Publish before boot preserves the sequential intra-tick
-		// ordering: a package published by server i is visible to any
-		// server j > i booting in the same tick (and a server never
-		// does both).
-		if r.needsPublish {
-			f.publishFrom(s)
+		if fl&tkActions != 0 {
+			f.mergeActions(&f.servers[i], fl)
 		}
-		if r.needsBoot {
-			f.bootServer(s)
+	}
+
+	// Pass 2: the capacity sums, one sequential chain in index order.
+	// NewFleet lays servers out region-major, so each region's sum is a
+	// contiguous run. Series samples land after every action: a boot
+	// this tick anchors its series at the not-yet-appended sample.
+	capacity := 0.0
+	perRegion := f.cfg.Buckets * f.cfg.ServersPerBucket
+	for r := range f.regionCap {
+		rc := 0.0
+		for _, c := range caps[r*perRegion : (r+1)*perRegion] {
+			capacity += c
+			rc += c
 		}
-		if f.series != nil {
-			f.series[i] = append(f.series[i], r.capacity)
-		}
-		capacity += r.capacity
-		f.regionCap[s.region] += r.capacity
-		down += r.down
-		warming += r.warming
-		if r.warming == 1 && f.hWarm != nil {
-			f.hWarm.Observe(r.capacity)
+		f.regionCap[r] = rc
+	}
+	if f.series != nil {
+		for i, c := range caps {
+			f.series[i] = append(f.series[i], c)
 		}
 	}
 
@@ -791,6 +792,44 @@ func (f *Fleet) Tick() FleetTick {
 		Demand:       demand,
 		ScenCapacity: scenCap,
 		RegionsDark:  dark,
+	}
+}
+
+// mergeActions performs the sequential actions one server's step
+// flagged, in the order a sequential run takes them.
+func (f *Fleet) mergeActions(s *simServer, fl srvTick) {
+	if fl&tkCrashed != 0 {
+		f.crashes++
+		f.cCrashes.Inc()
+		f.tel.Event(f.now, "fleet", "crash",
+			telemetry.I("server", int64(s.idx)),
+			telemetry.I("region", int64(s.region)),
+			telemetry.I("bucket", int64(s.bucket)))
+		// The boot never reached steady capacity.
+		f.closeBootSpan(s, "crash")
+	}
+	if fl&tkWarmed != 0 && s.bootSpan != 0 {
+		// The server reached steady capacity this tick: the warmup
+		// span tiles [warmup start, now] and the boot span closes
+		// over [boot start, now] — children (fetch + warmup) sum
+		// exactly to the parent duration.
+		f.tel.SpanUnder(s.bootSpan, s.stateT, f.now, "boot", "warmup",
+			telemetry.B("jumpstart", s.usedJS))
+		f.closeBootSpan(s, "warmed")
+		if f.cfg.RecordSeries {
+			f.bootLat = append(f.bootLat, f.now-s.bootT)
+			f.tts = append(f.tts, f.now-s.stateT)
+		}
+	}
+	// Publish before boot preserves the sequential intra-tick
+	// ordering: a package published by server i is visible to any
+	// server j > i booting in the same tick (and a server never
+	// does both).
+	if fl&tkNeedsPublish != 0 {
+		f.publishFrom(s)
+	}
+	if fl&tkNeedsBoot != 0 {
+		f.bootServer(s)
 	}
 }
 
@@ -914,12 +953,7 @@ func (f *Fleet) advanceDeployment() {
 
 // restartC3Wave restarts the next slice of group-3 servers.
 func (f *Fleet) restartC3Wave() {
-	var members []int
-	for i := range f.servers {
-		if f.servers[i].group == 3 {
-			members = append(members, i)
-		}
-	}
+	members := f.members[3]
 	per := (len(members) + c3Waves - 1) / c3Waves
 	// Small fleets can have fewer C3 members than waves; later waves
 	// are then empty rather than out of range.
@@ -1024,10 +1058,8 @@ func (f *Fleet) backfillPool(dt float64) {
 }
 
 func (f *Fleet) restartGroup(group int) {
-	for i := range f.servers {
-		if s := &f.servers[i]; s.group == group {
-			f.stopServer(s)
-		}
+	for _, i := range f.members[group] {
+		f.stopServer(&f.servers[i])
 	}
 }
 

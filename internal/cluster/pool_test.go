@@ -17,17 +17,6 @@ func poolConfig(size int, rate float64) Config {
 	return cfg
 }
 
-// c3Members counts group-3 servers — the population C3 waves restart.
-func c3Members(f *Fleet) int {
-	n := 0
-	for i := range f.servers {
-		if f.servers[i].group == 3 {
-			n++
-		}
-	}
-	return n
-}
-
 // checkPoolConservation verifies the pool's accounting identity: every
 // standby is available, mid-reboot, or was never replaced at all.
 func checkPoolConservation(t *testing.T, ps PoolStats) {
@@ -53,7 +42,7 @@ func TestPoolLargerThanRestartGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3 := c3Members(f)
+	c3 := len(f.members[3])
 	if cfg.PoolSize <= c3 {
 		t.Fatalf("test premise broken: pool %d not larger than C3 group %d", cfg.PoolSize, c3)
 	}
@@ -80,7 +69,7 @@ func TestPoolExhaustedMidWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3 := c3Members(f)
+	c3 := len(f.members[3])
 	f.StartDeployment()
 	f.Run(3000)
 	ps := f.PoolStats()
@@ -169,7 +158,7 @@ func TestPoolBackfillDuringBrownout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3 := c3Members(f)
+	c3 := len(f.members[3])
 	f.StartDeployment()
 	for f.Deploying() {
 		f.Tick()

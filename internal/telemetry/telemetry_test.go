@@ -54,6 +54,42 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestTelemetryOffAllocFree: a call on a nil set must cost its caller
+// nothing, attributes included — whole fleets boot through
+// instrumented paths with telemetry off. The recorders copy their
+// attributes, so the variadic slice stays on the caller's stack. Run by
+// make alloccheck.
+func TestTelemetryOffAllocFree(t *testing.T) {
+	var set *Set
+	n := int64(0)
+	avg := testing.AllocsPerRun(200, func() {
+		n++
+		set.Event(1, "c", "n", I("a", n), S("k", "v"))
+		set.Span(1, 2, "c", "n", I("a", n), B("b", true))
+		set.EndSpan(set.BeginSpan(), 0, 1, 2, "c", "n", I("a", n), S("k", "v"))
+		set.SpanUnder(0, 1, 2, "c", "n", I("a", n), F("f", 0.5))
+	})
+	if avg != 0 {
+		t.Fatalf("telemetry-off calls allocate: %v allocs per round", avg)
+	}
+}
+
+// TestTraceCopiesAttrs: a recorded event keeps the attributes it was
+// given even when the caller reuses its slice afterwards.
+func TestTraceCopiesAttrs(t *testing.T) {
+	tr := NewTrace(4)
+	attrs := []Attr{I("a", 1)}
+	tr.Event(1, "c", "n", attrs...)
+	tr.SpanUnder(0, 1, 2, "c", "n", attrs...)
+	tr.EndSpan(tr.BeginSpan(), 0, 1, 2, "c", "n", attrs...)
+	attrs[0] = I("a", 2)
+	for _, ev := range tr.Events() {
+		if ev.Attrs[0].num != 1 {
+			t.Fatalf("event %d attribute changed with the caller's slice: %v", ev.Seq, ev.Attrs[0].num)
+		}
+	}
+}
+
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs")

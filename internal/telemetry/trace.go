@@ -98,7 +98,7 @@ func (tr *Trace) Span(t0, t1 float64, cat, name string, attrs ...Attr) {
 		return
 	}
 	tr.seq++
-	tr.record(Event{Seq: tr.seq, T: t0, Dur: t1 - t0, Cat: cat, Name: name, Attrs: attrs})
+	tr.record(Event{Seq: tr.seq, T: t0, Dur: t1 - t0, Cat: cat, Name: name, Attrs: copyAttrs(attrs)})
 }
 
 // BeginSpan reserves a span ID without recording anything. Use it when
@@ -122,7 +122,7 @@ func (tr *Trace) EndSpan(id, parent uint64, t0, t1 float64, cat, name string, at
 	if tr == nil || id == 0 {
 		return
 	}
-	tr.record(Event{Seq: id, Parent: parent, T: t0, Dur: t1 - t0, Cat: cat, Name: name, Attrs: attrs})
+	tr.record(Event{Seq: id, Parent: parent, T: t0, Dur: t1 - t0, Cat: cat, Name: name, Attrs: copyAttrs(attrs)})
 }
 
 // SpanUnder records a complete child span under parent and returns its
@@ -132,9 +132,14 @@ func (tr *Trace) SpanUnder(parent uint64, t0, t1 float64, cat, name string, attr
 		return 0
 	}
 	tr.seq++
-	tr.record(Event{Seq: tr.seq, Parent: parent, T: t0, Dur: t1 - t0, Cat: cat, Name: name, Attrs: attrs})
+	tr.record(Event{Seq: tr.seq, Parent: parent, T: t0, Dur: t1 - t0, Cat: cat, Name: name, Attrs: copyAttrs(attrs)})
 	return tr.seq
 }
+
+// copyAttrs gives an event its own attribute slice. Storing the
+// caller's variadic slice would make it escape at every call site, so
+// the caller would pay a heap allocation even with tracing off.
+func copyAttrs(attrs []Attr) []Attr { return append([]Attr(nil), attrs...) }
 
 // record appends ev to the ring, overwriting the oldest when full.
 func (tr *Trace) record(ev Event) {
