@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtTSP$$' -fuzztime 10s ./internal/layout/
 	$(GO) test -run '^$$' -fuzz '^FuzzProfDecode$$' -fuzztime 10s ./internal/prof/
 	$(GO) test -run '^$$' -fuzz '^FuzzLangRoundTrip$$' -fuzztime 10s ./internal/lang/
+	$(GO) test -run '^$$' -fuzz '^FuzzHierarchyMRU$$' -fuzztime 10s ./internal/microarch/
 
 # Coverage gate: reports per-package coverage and enforces the floors
 # on internal/telemetry, internal/obs, internal/scenario and

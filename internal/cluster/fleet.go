@@ -337,6 +337,11 @@ type Fleet struct {
 	c3Wave     int
 	lastPush   float64
 	revision   uint64 // current code revision, bumped per push
+	// steady counts servers in stRunning. Tick's merge pass recounts
+	// it from the flags (a zero flag or tkWarmed is a running server,
+	// and no merge action starts one running); stopServer, the only
+	// other way out of stRunning, decrements it.
+	steady int
 
 	// Warm-pool tier state. All of it is touched only from sequential
 	// code (Tick preamble + wave restarts), so pool behaviour is
@@ -478,6 +483,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	if cfg.RecordSeries {
 		f.series = make([][]float64, total)
 	}
+	f.steady = total
 	f.regionCap = make([]float64, cfg.Regions)
 	f.demandTrough = math.Inf(1)
 	if f.tel != nil {
@@ -725,10 +731,14 @@ func (f *Fleet) Tick() FleetTick {
 
 	// Pass 1: counts, the warmup histogram and every action, in index
 	// order. A server record is read only when an action bit is set.
-	down, warming := 0, 0
+	down, warming, flagged, warmed := 0, 0, 0, 0
 	for i, fl := range flags {
 		if fl == 0 {
 			continue
+		}
+		flagged++
+		if fl&tkWarmed != 0 {
+			warmed++
 		}
 		if fl&tkDown != 0 {
 			down++
@@ -743,6 +753,7 @@ func (f *Fleet) Tick() FleetTick {
 			f.mergeActions(&f.servers[i], fl)
 		}
 	}
+	f.steady = n - flagged + warmed
 
 	// Pass 2: the capacity sums, one sequential chain in index order.
 	// NewFleet lays servers out region-major, so each region's sum is a
@@ -933,14 +944,7 @@ func (f *Fleet) advanceDeployment() {
 			return
 		}
 		// Deployment completes when everyone is running again.
-		done := true
-		for i := range f.servers {
-			if f.servers[i].state != stRunning {
-				done = false
-				break
-			}
-		}
-		if done {
+		if f.steady == len(f.servers) {
 			f.src.flush()
 			f.deploying = false
 			f.phase = 0
@@ -1067,6 +1071,9 @@ func (f *Fleet) restartGroup(group int) {
 // flight is cut short and its Jump-Start history starts over.
 func (f *Fleet) stopServer(s *simServer) {
 	f.closeBootSpan(s, "restarted")
+	if s.state == stRunning {
+		f.steady--
+	}
 	s.state = stDown
 	s.stateT = f.now
 	s.pkg = -1

@@ -278,3 +278,49 @@ func goldenRun(t *testing.T, cfg Config, seconds float64) (sim, trace string) {
 	fmt.Fprintf(&buf, "bootlat %v\ntts %v\n", f.BootLatencies(), f.TimesToSteady())
 	return sim, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))[:24]
 }
+
+// TestFleetSteadyCount checks the running-server count that ends a
+// deployment against a scan of every server, after every tick of every
+// golden case and after a group restart between ticks: pushes, crashes
+// from warming and from running, pool swaps, seeders and region drills
+// all move servers in and out of stRunning. Every case completes at
+// least one deployment, so the count is also what ended it.
+func TestFleetSteadyCount(t *testing.T) {
+	for _, gc := range goldenCases {
+		cfg := gc.cfg(t)
+		cfg.Workers = 1
+		f, err := NewFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.StartDeployment()
+		check := func(when string) {
+			t.Helper()
+			running := 0
+			for j := range f.servers {
+				if f.servers[j].state == stRunning {
+					running++
+				}
+			}
+			if f.steady != running {
+				t.Fatalf("%s: %s: steady count %d, %d servers running", gc.name, when, f.steady, running)
+			}
+		}
+		completed := 0
+		for i := 0; i < int(gc.seconds/cfg.TickSeconds); i++ {
+			deploying := f.Deploying()
+			f.Tick()
+			check(fmt.Sprintf("tick %d", i))
+			if deploying && !f.Deploying() {
+				completed++
+			}
+		}
+		if completed == 0 {
+			t.Fatalf("%s: no deployment completed in %v s", gc.name, gc.seconds)
+		}
+		// A wave restart between ticks must keep the count too: the
+		// last C3 wave is checked right after it restarts.
+		f.restartGroup(3)
+		check("after a group restart")
+	}
+}

@@ -110,9 +110,9 @@ type InlineMap struct {
 	// BlockOf maps callee bytecode block id -> vasm block id in the
 	// caller's CFG.
 	BlockOf []int
-	// SpecTypes guards specialized sites inside the inlined body,
-	// keyed by callee pc.
-	SpecTypes map[int32]uint16
+	// SpecTypes guards specialized sites inside the inlined body: a
+	// table indexed by callee pc (see Translation.SpecTypes).
+	SpecTypes []uint32
 }
 
 // Translation is one compiled body.
@@ -125,10 +125,11 @@ type Translation struct {
 	MainMap []int
 	// Inlines maps call-site pc -> inlined callee info.
 	Inlines map[int32]*InlineMap
-	// SpecTypes records the kind pair each specialized site guards on
-	// (pc -> a<<8|b); the runtime charges a side exit when execution
-	// deviates.
-	SpecTypes map[int32]uint16
+	// SpecTypes is the guard table of the specialized sites, indexed
+	// by pc: the kind pair a site guards on (a<<8|b) plus one, and 0 at
+	// an unguarded pc. The runtime charges a side exit when execution
+	// deviates. nil when nothing was specialized.
+	SpecTypes []uint32
 	// Devirt records guarded direct-call targets by call-site pc.
 	Devirt map[int32]string
 
@@ -141,14 +142,17 @@ type Translation struct {
 	// HotSize/ColdSize are section sizes in bytes.
 	HotSize, ColdSize int
 
-	// Counts are runtime per-vasm-block counters, allocated when the
-	// translation is instrumented.
+	// Counts are runtime per-vasm-block counters. Only the seeder's
+	// instrumented tier-2 code has them (Options.InstrumentOptimized):
+	// tier-1 code executes its counter instructions, but nothing reads
+	// their values, so it keeps none.
 	Counts []uint64
 	// EntryCount counts activations (instrumented optimized only).
 	EntryCount uint64
 }
 
-// Instrumented reports whether the translation carries counters.
+// Instrumented reports whether the translation carries counters, which
+// implies it is instrumented tier-2 code.
 func (t *Translation) Instrumented() bool { return t.Counts != nil }
 
 // CodeSize returns the translation's total emitted bytes.

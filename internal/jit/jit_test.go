@@ -556,3 +556,87 @@ func TestTierString(t *testing.T) {
 		t.Fatal("region names")
 	}
 }
+
+// TestCountersOnlyOnInstrumentedTier2 pins where block counters live.
+// Tier-1 code pays for its counter instructions but keeps no counters,
+// since nothing reads them; the seeder's instrumented tier-2 code keeps
+// them for HarvestInto, and plain tier-2 code has none.
+func TestCountersOnlyOnInstrumentedTier2(t *testing.T) {
+	w := newWorld(t)
+	opts := DefaultOptions()
+	opts.InstrumentOptimized = true
+	j := New(w.prog, opts, NewCodeCache(DefaultCacheConfig()))
+	p := collectProfile(t, w, j, 5)
+
+	live := New(w.prog, DefaultOptions(), NewCodeCache(DefaultCacheConfig()))
+	for _, fn := range w.prog.Funcs {
+		tr := j.Active(fn.ID)
+		if tr == nil || tr.Tier != TierProfile {
+			t.Fatalf("%s: not in a profiling translation", fn.Name)
+		}
+		if tr.Counts != nil || tr.Instrumented() {
+			t.Fatalf("%s: tier-1 translation carries counters", fn.Name)
+		}
+		lt, err := live.CompileLive(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi, vb := range tr.MainMap {
+			got, base := tr.CFG.Blocks[vb].NInstrs, lt.CFG.Blocks[lt.MainMap[bi]].NInstrs
+			if got < base+vasm.BlockCounterInstrs {
+				t.Fatalf("%s block %d: tier-1 has %d instrs, live %d: counter cost missing",
+					fn.Name, bi, got, base)
+			}
+		}
+	}
+	// A request through tier-1 code allocates no counters either.
+	rt := NewRuntime(j, nil)
+	w.ip.SetTracer(rt)
+	rt.BeginRequest(false)
+	if _, err := w.ip.CallByName("handler", value.Int(8)); err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range w.prog.Funcs {
+		if j.Active(fn.ID).Counts != nil {
+			t.Fatalf("%s: tier-1 run allocated counters", fn.Name)
+		}
+	}
+
+	trans := map[string]*Translation{}
+	for _, name := range p.HotFunctions() {
+		fn, _ := w.prog.FuncByName(name)
+		tr, err := j.CompileOptimized(fn, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Instrumented() || len(tr.Counts) != len(tr.CFG.Blocks) {
+			t.Fatalf("%s: instrumented tier-2 has %d counters for %d blocks",
+				name, len(tr.Counts), len(tr.CFG.Blocks))
+		}
+		trans[name] = tr
+	}
+	if err := j.RelocateOptimized(trans, nil); err != nil {
+		t.Fatal(err)
+	}
+	rt.BeginRequest(false)
+	if _, err := w.ip.CallByName("handler", value.Int(8)); err != nil {
+		t.Fatal(err)
+	}
+	w.ip.SetTracer(nil)
+	rt.HarvestInto(p)
+	for name := range trans {
+		if len(p.Funcs[name].VasmCounts) == 0 {
+			t.Fatalf("%s: no tier-2 counters harvested", name)
+		}
+	}
+
+	plain := New(w.prog, DefaultOptions(), NewCodeCache(DefaultCacheConfig()))
+	fn, _ := w.prog.FuncByName("cartTotal")
+	tr, err := plain.CompileOptimized(fn, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Counts != nil {
+		t.Fatal("uninstrumented tier-2 translation carries counters")
+	}
+}

@@ -15,13 +15,12 @@ import (
 func (j *JIT) lower(fn *bytecode.Function, tier Tier, fp *prof.FuncProfile, p *prof.Profile) *Translation {
 	bcBlocks := fn.Blocks()
 	t := &Translation{
-		Fn:        fn,
-		Tier:      tier,
-		CFG:       &vasm.CFG{FuncName: fn.Name},
-		MainMap:   make([]int, len(bcBlocks)),
-		Inlines:   make(map[int32]*InlineMap),
-		SpecTypes: make(map[int32]uint16),
-		Devirt:    make(map[int32]string),
+		Fn:      fn,
+		Tier:    tier,
+		CFG:     &vasm.CFG{FuncName: fn.Name},
+		MainMap: make([]int, len(bcBlocks)),
+		Inlines: make(map[int32]*InlineMap),
+		Devirt:  make(map[int32]string),
 	}
 	cfg := t.CFG
 
@@ -62,7 +61,7 @@ func (j *JIT) lower(fn *bytecode.Function, tier Tier, fp *prof.FuncProfile, p *p
 			case tier == TierOptimized && isSpecializable(in.Op) && fp != nil:
 				if a, b, mono := fp.MonoTypes(int32(pc)); mono {
 					instrs += vasm.SpecializedInstrs(in.Op)
-					t.SpecTypes[int32(pc)] = uint16(a)<<8 | uint16(b)
+					t.SpecTypes = setGuard(t.SpecTypes, len(fn.Code), pc, a, b)
 					specSites++
 				} else {
 					instrs += vasm.GenericInstrs(in.Op)
@@ -137,7 +136,6 @@ func (j *JIT) lower(fn *bytecode.Function, tier Tier, fp *prof.FuncProfile, p *p
 					calleeFP = p.Funcs[callee.Name]
 				}
 				im.BlockOf = make([]int, len(callee.Blocks()))
-				im.SpecTypes = make(map[int32]uint16)
 				for cbi, cbb := range callee.Blocks() {
 					ci := 0
 					for pc := cbb.Start; pc < cbb.End; pc++ {
@@ -145,7 +143,7 @@ func (j *JIT) lower(fn *bytecode.Function, tier Tier, fp *prof.FuncProfile, p *p
 						if isSpecializable(cin.Op) && calleeFP != nil {
 							if a, b, mono := calleeFP.MonoTypes(int32(pc)); mono {
 								ci += vasm.SpecializedInstrs(cin.Op)
-								im.SpecTypes[int32(pc)] = uint16(a)<<8 | uint16(b)
+								im.SpecTypes = setGuard(im.SpecTypes, len(callee.Code), pc, a, b)
 								continue
 							}
 						}
@@ -226,11 +224,30 @@ func (j *JIT) lower(fn *bytecode.Function, tier Tier, fp *prof.FuncProfile, p *p
 	for i := range cfg.Blocks {
 		t.HotSize += cfg.Blocks[i].Size()
 	}
-	if instrument {
+	// Only the seeder's instrumented tier-2 code gets counters:
+	// HarvestInto reads them, and nothing reads a tier-1 translation's.
+	// Tier-1 still pays for its counter instructions (above); it just
+	// has no memory behind them.
+	if instrument && tier == TierOptimized {
 		t.Counts = make([]uint64, len(cfg.Blocks))
 	}
 	return t
 }
+
+// setGuard records the operand-kind pair a specialized site at pc
+// guards on, allocating the pc-indexed table (n = code length) on the
+// first guard so unspecialized code carries none.
+func setGuard(tab []uint32, n, pc int, a, b uint8) []uint32 {
+	if tab == nil {
+		tab = make([]uint32, n)
+	}
+	tab[pc] = guardWant(a, b) + 1
+	return tab
+}
+
+// guardWant packs an operand-kind pair the way a guard table stores
+// it (minus the +1 that marks a guarded pc).
+func guardWant(a, b uint8) uint32 { return uint32(a)<<8 | uint32(b) }
 
 // inlinable reports whether callee may be inlined into caller.
 func (j *JIT) inlinable(caller, callee *bytecode.Function, p *prof.Profile) bool {

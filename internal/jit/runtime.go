@@ -65,8 +65,9 @@ type MemSim interface {
 // and every memory event it feeds to the MemSim is echoed to the
 // recorder so the capture can be replayed later without re-executing.
 // MarkDirty poisons the capture: something happened that a replay
-// could not reproduce (a unit load, a compile, an instrumentation
-// write), so the entry must be discarded.
+// could not reproduce (a unit load, a compile, a write to an
+// instrumented tier-2 translation's counters), so the entry must be
+// discarded.
 type Recorder interface {
 	RecordBase(b telemetry.CycleBucket, cycles uint64)
 	RecordFetch(addr uint64, size int)
@@ -205,7 +206,7 @@ func (r *Runtime) OnEnter(fn *bytecode.Function) {
 	}
 	if f.inline == nil {
 		f.trans = r.jit.Active(fn.ID)
-		if t := f.trans; t != nil && t.Tier == TierOptimized && t.Instrumented() {
+		if t := f.trans; t != nil && t.Instrumented() {
 			t.EntryCount++
 			if r.rec != nil {
 				r.rec.MarkDirty() // instrumentation writes are unreplayable
@@ -381,18 +382,15 @@ func (r *Runtime) OnOpTypes(fn *bytecode.Function, pc int, a, b value.Kind) {
 		return
 	}
 	f := &r.frames[n-1]
-	var spec map[int32]uint16
+	var spec []uint32
 	switch {
 	case f.inline != nil:
 		spec = f.inline.SpecTypes
-	case f.trans != nil && f.trans.Tier == TierOptimized:
+	case f.trans != nil:
 		spec = f.trans.SpecTypes
-	default:
-		return
 	}
-	if want, ok := spec[int32(pc)]; ok {
-		got := uint16(a)<<8 | uint16(b)
-		if got != want {
+	if uint(pc) < uint(len(spec)) {
+		if want := spec[pc]; want != 0 && want != guardWant(uint8(a), uint8(b))+1 {
 			r.chargeGuardFail()
 		}
 	}
@@ -405,7 +403,7 @@ func (r *Runtime) OnOpTypes(fn *bytecode.Function, pc int, a, b value.Kind) {
 func (r *Runtime) HarvestInto(p *prof.Profile) {
 	for id := range r.jit.active {
 		t := r.jit.active[id]
-		if t == nil || t.Tier != TierOptimized || !t.Instrumented() {
+		if t == nil || !t.Instrumented() {
 			continue
 		}
 		fp := p.Funcs[t.Fn.Name]

@@ -195,12 +195,18 @@ func (s Stats) BranchMissRate() float64 { return rate(s.BranchMiss, s.Branches) 
 // all sets live in one flat slice (set s occupies lines[s*ways :
 // (s+1)*ways]) so an access touches a single allocation and the index
 // arithmetic stays branch-free.
+//
+// mru remembers the line the previous access touched. A tag lives in
+// at most one way of its set, and nothing changes between two
+// accesses, so an access that repeats the previous tag finds that line
+// without scanning the set and updates exactly what the scan would.
 type cache struct {
 	lines    []line
 	ways     int
 	lineBits uint
 	setMask  uint64
 	tick     uint64
+	mru      *line
 }
 
 type line struct {
@@ -230,12 +236,17 @@ func log2(n int) uint {
 func (c *cache) access(addr uint64) bool {
 	c.tick++
 	tag := addr >> c.lineBits
+	if m := c.mru; m != nil && m.tag == tag {
+		m.used = c.tick
+		return true
+	}
 	base := int(tag&c.setMask) * c.ways
 	set := c.lines[base : base+c.ways]
 	victim := 0
 	for i := range set {
 		if set[i].ok && set[i].tag == tag {
 			set[i].used = c.tick
+			c.mru = &set[i]
 			return true
 		}
 		if set[i].used < set[victim].used || !set[i].ok && set[victim].ok {
@@ -250,14 +261,17 @@ func (c *cache) access(addr uint64) bool {
 		}
 	}
 	set[victim] = line{tag: tag, used: c.tick, ok: true}
+	c.mru = &set[victim]
 	return false
 }
 
-// tlb is a fully-associative LRU TLB.
+// tlb is a fully-associative LRU TLB. mru is the entry the previous
+// access touched, exact for the same reason as cache.mru.
 type tlb struct {
 	entries  []line
 	pageBits uint
 	tick     uint64
+	mru      *line
 }
 
 func newTLB(entries, pageSize int) *tlb {
@@ -267,11 +281,16 @@ func newTLB(entries, pageSize int) *tlb {
 func (t *tlb) access(addr uint64) bool {
 	t.tick++
 	tag := addr >> t.pageBits
+	if m := t.mru; m != nil && m.tag == tag {
+		m.used = t.tick
+		return true
+	}
 	victim := 0
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.ok && e.tag == tag {
 			e.used = t.tick
+			t.mru = e
 			return true
 		}
 		if !e.ok {
@@ -281,6 +300,7 @@ func (t *tlb) access(addr uint64) bool {
 		}
 	}
 	t.entries[victim] = line{tag: tag, used: t.tick, ok: true}
+	t.mru = &t.entries[victim]
 	return false
 }
 

@@ -25,11 +25,7 @@ type Collector struct {
 	edges  [][]edgeSite        // by FuncID, then src block
 	calls  []map[uint64]uint64 // by FuncID; key = pc<<32 | callee FuncID
 	types  [][]typeSite        // by FuncID, then pc
-	props  map[string]uint64
-
-	// propKeys caches the declaring-class "K::P" string per (class,
-	// flat slot), so OnPropAccess never rebuilds it.
-	propKeys [][]string // by ClassID, then flat slot index
+	props  [][]uint64          // by ClassID, then declared property index
 
 	unitOrder []string
 	unitSeen  map[string]bool
@@ -78,8 +74,7 @@ func NewCollector(prog *bytecode.Program) *Collector {
 		edges:    make([][]edgeSite, n),
 		calls:    make([]map[uint64]uint64, n),
 		types:    make([][]typeSite, n),
-		props:    make(map[string]uint64),
-		propKeys: make([][]string, len(prog.Classes)),
+		props:    make([][]uint64, len(prog.Classes)),
 		unitSeen: make(map[string]bool),
 		fnSeen:   make([]bool, n),
 	}
@@ -158,24 +153,18 @@ func (c *Collector) OnCallSite(fn *bytecode.Function, pc int, callee *bytecode.F
 // OnNewObj implements interp.Tracer.
 func (c *Collector) OnNewObj(obj *object.Object) {}
 
-// OnPropAccess implements interp.Tracer. Counts are keyed by the class
-// that *declares* the property (inherited accesses heat the declaring
-// layer), matching the hash table of "K::P" keys in Section V-C.
+// OnPropAccess implements interp.Tracer. It counts per (receiver
+// class, declared property index); Snapshot folds the counts into the
+// "K::P" keys of Section V-C.
 func (c *Collector) OnPropAccess(obj *object.Object, slot int, write bool) {
 	rc := obj.Class()
 	cid := rc.Meta.ID
-	keys := c.propKeys[cid]
-	if keys == nil {
-		keys = make([]string, len(rc.DeclaredProps()))
-		c.propKeys[cid] = keys
+	counts := c.props[cid]
+	if counts == nil {
+		counts = make([]uint64, len(rc.DeclaredProps()))
+		c.props[cid] = counts
 	}
-	decl := rc.DeclIndex(slot)
-	key := keys[decl]
-	if key == "" {
-		key = c.declaringClass(rc.Meta, decl) + "::" + rc.DeclaredProps()[decl].Name
-		keys[decl] = key
-	}
-	c.props[key]++
+	counts[rc.DeclIndex(slot)]++
 }
 
 // declaringClass finds the class in cls's ancestry that declared the
@@ -281,8 +270,16 @@ func (c *Collector) Snapshot(meta Meta) *Profile {
 		}
 		p.Funcs[fn.Name] = fp
 	}
-	for k, n := range c.props {
-		p.Props[k] = n
+	// A property's key names the class that *declares* it, so an
+	// inherited access heats the declaring layer: every subclass's
+	// count for it lands on one key.
+	for cid, counts := range c.props {
+		cls := c.prog.Classes[cid]
+		for decl, n := range counts {
+			if n > 0 {
+				p.Props[c.declaringClass(cls, decl)+"::"+cls.FlatProps()[decl].Name] += n
+			}
+		}
 	}
 	return p
 }

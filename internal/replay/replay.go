@@ -17,8 +17,13 @@
 // translation of any function it depends on has changed since (see
 // Cache.stale), so stale translations can never replay while entries
 // that a compile did not touch keep hitting. Captures that observe
-// anything unreplayable — a unit load, a compile, an instrumentation
-// write, a fault, a non-immediate return — are discarded.
+// anything unreplayable — a unit load, a compile, a write to the
+// seeder's instrumented tier-2 counters, a fault, a non-immediate
+// return — are discarded. Tier-1 code keeps no counters, so a cold
+// server's captures replay through the optimizing window (profiling
+// stopped, tier-1 code still running while tier-2 compiles); only the
+// profiling window itself runs without the memoizer, because the
+// collector must see every execution.
 package replay
 
 import (

@@ -128,11 +128,11 @@ func TestReplayCacheDeterminism(t *testing.T) {
 			if c == nil {
 				t.Fatal("replay cache not installed")
 			}
-			// The instrumented seeder runs counter-carrying code from
-			// its first compile to its exit, which poisons every
-			// capture: it has nothing to hit, and what the variant
-			// pins is that this holds.
-			if c.Hits() == 0 && !v.instrOpt {
+			// Every variant hits, the instrumented seeder included: its
+			// counter-carrying tier-2 code poisons captures only once
+			// installed, and its tier-1 code, which carries no
+			// counters, replays through the optimizing window first.
+			if c.Hits() == 0 {
 				t.Fatal("replay cache never hit; determinism check is vacuous")
 			}
 			if c.Misses() == 0 {
@@ -274,5 +274,35 @@ func TestReplayCacheInvalidation(t *testing.T) {
 	}
 	if !hit {
 		t.Fatal("no function's change ever staled an entry")
+	}
+}
+
+// TestReplayHitsWhileOptimizing covers Figure 1's A→C window on a
+// cold server: profiling has stopped and tier-2 compiles in the
+// background while requests still run tier-1 code. That code carries
+// no counters, so its captures are clean and later calls replay them.
+func TestReplayHitsWhileOptimizing(t *testing.T) {
+	s, err := New(testSite(t), testConfig(ModeNoJumpStart))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.ReplayCache()
+	var hits uint64
+	ticks := 0
+	for s.phase != PhaseServing && s.now < 7200 {
+		before, was := c.Hits(), s.phase
+		s.Tick()
+		// Only ticks that begin and end in the window count.
+		if was == PhaseOptimizing && s.phase == PhaseOptimizing {
+			hits += c.Hits() - before
+			ticks++
+		}
+	}
+	if ticks == 0 {
+		t.Fatalf("no whole tick in %v before phase %v", PhaseOptimizing, s.phase)
+	}
+	t.Logf("%d replay hits over %d optimizing ticks", hits, ticks)
+	if hits == 0 {
+		t.Fatal("no replay hit while optimizing")
 	}
 }

@@ -326,11 +326,7 @@ func New(site *workload.Site, cfg Config) (*Server, error) {
 	}
 	s.j = jit.New(site.Prog, cfg.JITOpts, jit.NewCodeCache(cfg.CacheCfg))
 	s.rt = jit.NewRuntime(s.j, s.mem)
-	s.st = &serverTracer{
-		s:      s,
-		loaded: make(map[string]bool),
-		calls:  make([]uint32, len(site.Prog.Funcs)),
-	}
+	s.st = newServerTracer(s)
 	s.ip = interp.New(site.Prog, reg, interp.Config{Tracer: s.st})
 	s.phase = PhaseInit
 	s.initRemaining = cfg.InitCycles
@@ -655,9 +651,7 @@ func (s *Server) startupCost() float64 {
 		preload := float64(len(p.Units)) * s.cfg.UnitPreloadCycles / cores
 		total += preload
 		s.chargeBG(telemetry.CycleUnitLoad, preload)
-		for _, u := range p.Units {
-			s.st.loaded[u] = true
-		}
+		s.st.preload(p.Units)
 		s.tel.Event(s.now, "server", "consumer-preload",
 			telemetry.I("units", int64(len(p.Units))))
 		// Compile every sufficiently-profiled function in optimized

@@ -17,19 +17,50 @@ import (
 // so it charges for a translation the trigger has just compiled.
 type serverTracer struct {
 	s      *Server
-	loaded map[string]bool
+	unitOf []int32 // by FuncID: position of the function's unit in Program.Units
+	loaded []bool  // by unit position: metadata loaded
 	calls  []uint32
 }
 
 var _ interp.Tracer = (*serverTracer)(nil)
+
+func newServerTracer(s *Server) *serverTracer {
+	prog := s.site.Prog
+	t := &serverTracer{
+		s:      s,
+		unitOf: make([]int32, len(prog.Funcs)),
+		loaded: make([]bool, len(prog.Units)),
+		calls:  make([]uint32, len(prog.Funcs)),
+	}
+	for i, u := range prog.Units {
+		for _, fn := range u.Funcs {
+			t.unitOf[fn.ID] = int32(i)
+		}
+	}
+	return t
+}
+
+// preload marks the named units loaded, as a consumer's package
+// preload does before the first request.
+func (t *serverTracer) preload(names []string) {
+	want := make(map[string]bool, len(names))
+	for _, n := range names {
+		want[n] = true
+	}
+	for i, u := range t.s.site.Prog.Units {
+		if want[u.Name] {
+			t.loaded[i] = true
+		}
+	}
+}
 
 // OnEnter implements interp.Tracer.
 func (t *serverTracer) OnEnter(fn *bytecode.Function) {
 	s := t.s
 	// First touch of a unit loads its metadata on demand — the cost
 	// that makes early no-Jump-Start requests so slow (Section VII-A).
-	if fn.Unit != nil && !t.loaded[fn.Unit.Name] {
-		t.loaded[fn.Unit.Name] = true
+	if u := t.unitOf[fn.ID]; !t.loaded[u] {
+		t.loaded[u] = true
 		s.rt.AddCyclesBucket(uint64(s.cfg.UnitPreloadCycles), telemetry.CycleUnitLoad)
 	}
 	t.calls[fn.ID]++
