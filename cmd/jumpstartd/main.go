@@ -176,7 +176,6 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Mode = server.ModeNoJumpStart
 	case "seeder":
 		cfg.Mode = server.ModeSeeder
-		cfg.JITOpts.InstrumentOptimized = true
 	case "consumer":
 		cfg.UsePropertyOrder = true
 		cfg.JITOpts.UseVasmCounters = true

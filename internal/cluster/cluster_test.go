@@ -213,7 +213,6 @@ func TestDefectivePackagesCrashAndDecay(t *testing.T) {
 	cfg.DefectRate = 1.0          // every seeder package is bad...
 	cfg.ValidationCatchRate = 0.5 // ...validation catches half
 	cfg.CrashDelay = 20
-	cfg.MaxJSAttempts = 2
 	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)

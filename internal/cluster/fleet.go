@@ -56,11 +56,11 @@ type Config struct {
 	// seeder produces a crash-inducing package; ValidationCatchRate is
 	// the fraction of defects caught before publishing; CrashDelay is
 	// how long a consumer survives on a defective package before
-	// crashing; MaxJSAttempts is the fallback threshold (VI-A3).
+	// crashing. The fallback threshold is jumpstart.MaxAttempts
+	// (VI-A3).
 	DefectRate          float64
 	ValidationCatchRate float64
 	CrashDelay          float64
-	MaxJSAttempts       int
 
 	// JumpStartEnabled selects whether C3 servers consume packages or
 	// warm up on their own (the paper's fleet-wide kill switch).
@@ -254,7 +254,6 @@ func DefaultConfig() Config {
 		DefectRate:          0,
 		ValidationCatchRate: 0.95,
 		CrashDelay:          60,
-		MaxJSAttempts:       3,
 
 		JumpStartEnabled: true,
 	}
@@ -1151,7 +1150,7 @@ func (f *Fleet) bootServer(s *simServer) {
 		// from), but recorded so a post-run audit can tell "never
 		// needed Jump-Start" from "wanted it, got nothing".
 		s.fbReason = jumpstart.FallbackNoPackage
-	case s.attempts >= f.cfg.MaxJSAttempts:
+	case s.attempts >= jumpstart.MaxAttempts:
 		f.fallback(s, jumpstart.FallbackMaxAttempts)
 	default:
 		// Avoid the exact package that just crashed us when

@@ -33,7 +33,6 @@ func NewScenario(siteCfg workload.SiteConfig, serverCfg server.Config) (*Scenari
 func (sc *Scenario) SeedPackage() (*prof.Profile, error) {
 	cfg := sc.ServerCfg
 	cfg.Mode = server.ModeSeeder
-	cfg.JITOpts.InstrumentOptimized = true
 	s, err := server.New(sc.Site, cfg)
 	if err != nil {
 		return nil, err

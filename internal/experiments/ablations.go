@@ -55,6 +55,20 @@ func (l *Lab) FuncSort() (FuncSortAblation, error) {
 	}, nil
 }
 
+// againstJS reads the plain Jump-Start cell and the cell of v, both
+// Figure 6 cells, through the Lab's memo: an ablation run after (or
+// alongside) Figure 6 measures nothing twice.
+func (l *Lab) againstJS(v core.Variant) (base, with server.SteadyStats, err error) {
+	grid := []core.Variant{{JumpStart: true}, v}
+	stats, err := parallel.MapErr(l.Cfg.Workers, len(grid), func(i int) (server.SteadyStats, error) {
+		return l.steadyState(grid[i], l.Cfg.SteadyRequests)
+	})
+	if err != nil {
+		return base, with, err
+	}
+	return stats[0], stats[1], nil
+}
+
 // PropLayoutAblation compares the two object-layout policies:
 // declared order (baseline) and hotness order (the paper's Section V-C).
 type PropLayoutAblation struct {
@@ -62,20 +76,13 @@ type PropLayoutAblation struct {
 	DeclaredL1D, HotnessL1D float64
 }
 
-// PropLayout runs the property-layout ablation.
+// PropLayout runs the property-layout ablation on Figure 6's plain
+// Jump-Start and property-reorder cells.
 func (l *Lab) PropLayout() (PropLayoutAblation, error) {
-	measure := func(hotness bool) (server.SteadyStats, error) {
-		v := core.Variant{JumpStart: true, PropertyOrder: hotness}
-		return l.Scenario.SteadyState(v, l.clonePkg(), l.Cfg.SteadyRequests)
-	}
-	policies := []bool{false, true}
-	stats, err := parallel.MapErr(l.Cfg.Workers, len(policies), func(i int) (server.SteadyStats, error) {
-		return measure(policies[i])
-	})
+	decl, hot, err := l.againstJS(core.Variant{JumpStart: true, PropertyOrder: true})
 	if err != nil {
 		return PropLayoutAblation{}, err
 	}
-	decl, hot := stats[0], stats[1]
 	return PropLayoutAblation{
 		DeclaredRPS: decl.CapacityRPS, HotnessRPS: hot.CapacityRPS,
 		DeclaredL1D: decl.Mem.L1DMissRate(),
@@ -92,19 +99,13 @@ type BlockLayoutAblation struct {
 	BytecodeBranch, VasmBranch float64
 }
 
-// BlockLayout runs the V-A weight-source ablation.
+// BlockLayout runs the V-A weight-source ablation on Figure 6's plain
+// Jump-Start and BB-layout cells.
 func (l *Lab) BlockLayout() (BlockLayoutAblation, error) {
-	measure := func(useVasm bool) (server.SteadyStats, error) {
-		v := core.Variant{JumpStart: true, VasmCounters: useVasm}
-		return l.Scenario.SteadyState(v, l.clonePkg(), l.Cfg.SteadyRequests)
-	}
-	stats, err := parallel.MapErr(l.Cfg.Workers, 2, func(i int) (server.SteadyStats, error) {
-		return measure(i == 1)
-	})
+	bc, vm, err := l.againstJS(core.Variant{JumpStart: true, VasmCounters: true})
 	if err != nil {
 		return BlockLayoutAblation{}, err
 	}
-	bc, vm := stats[0], stats[1]
 	return BlockLayoutAblation{
 		BytecodeRPS: bc.CapacityRPS, VasmRPS: vm.CapacityRPS,
 		BytecodeL1I: bc.Mem.L1IMissRate(), VasmL1I: vm.Mem.L1IMissRate(),

@@ -74,7 +74,8 @@ type Options struct {
 	// call-target profiles (Section V-B).
 	UseSeededCallGraph bool
 	// InstrumentOptimized adds block counters and entry counters to
-	// optimized translations (seeder mode, Figure 3b).
+	// optimized translations (seeder mode, Figure 3b). server.New sets
+	// it from the server's mode.
 	InstrumentOptimized bool
 
 	// FuncSort selects the function-sorting algorithm.

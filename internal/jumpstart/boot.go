@@ -46,15 +46,17 @@ type BootInfo struct {
 	FallbackReason Fallback
 }
 
+// MaxAttempts is the Section VI-A3 fallback threshold: a consumer
+// tries this many randomly picked packages before it boots without
+// Jump-Start, and SeedAndPublish runs this many seed-validate cycles.
+const MaxAttempts = 3
+
 // BootConfig parameterizes BootConsumer.
 type BootConfig struct {
 	// Server is the consumer configuration; Mode/Package are managed
 	// by BootConsumer. A lazy consumer sets Server.LazyWarmup (and
 	// Server.Pager) here.
 	Server server.Config
-	// MaxAttempts bounds how many packages are tried before falling
-	// back to collecting a fresh profile (default 3).
-	MaxAttempts int
 	// Rand supplies randomness for package selection; consecutive
 	// calls must differ (any PRNG works; determinism is up to the
 	// caller).
@@ -89,10 +91,6 @@ func (c *BootConfig) now() float64 {
 // its own profile.
 func BootConsumer(site *workload.Site, source PackageSource, cfg BootConfig) (*server.Server, BootInfo, error) {
 	info := BootInfo{}
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
 	rnd := cfg.Rand
 	if rnd == nil {
 		var x uint64 = 88172645463325252
@@ -114,7 +112,7 @@ func BootConsumer(site *workload.Site, source PackageSource, cfg BootConfig) (*s
 		defer sp.SetSpanParent(0)
 	}
 	var failed []PackageID
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
+	for attempt := 1; attempt <= MaxAttempts; attempt++ {
 		pickSpan := cfg.Telem.BeginSpan()
 		if sp != nil {
 			sp.SetSpanParent(pickSpan)

@@ -47,7 +47,6 @@ func siteAndPackageBytes(t testing.TB) (*workload.Site, []byte) {
 		sharedSite = testSite(t)
 		cfg := fastServerConfig()
 		cfg.Mode = server.ModeSeeder
-		cfg.JITOpts.InstrumentOptimized = true
 		s, err := server.New(sharedSite, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +205,7 @@ func TestSeedAndPublish(t *testing.T) {
 	}
 	cfg := fastServerConfig()
 	cfg.Region, cfg.Bucket = 2, 4
-	res, err := SeedAndPublish(site, cfg, v, store, 2)
+	res, err := SeedAndPublish(site, cfg, v, store)
 	if err != nil {
 		t.Fatalf("SeedAndPublish: %v", err)
 	}
@@ -227,11 +226,11 @@ func TestSeedAndPublishQuarantinesOnValidationFailure(t *testing.T) {
 		Requests:       50,
 		Thresholds:     prof.Thresholds{MinFuncs: 100000}, // impossible
 	}
-	_, err := SeedAndPublish(site, fastServerConfig(), v, store, 2)
+	_, err := SeedAndPublish(site, fastServerConfig(), v, store)
 	if err == nil {
 		t.Fatal("impossible thresholds should fail")
 	}
-	if store.QuarantinedCount() != 2 {
+	if store.QuarantinedCount() != MaxAttempts {
 		t.Fatalf("quarantined = %d, want one per attempt", store.QuarantinedCount())
 	}
 	if store.Count(0, 0) != 0 {
@@ -290,7 +289,7 @@ func TestBootConsumerSkipsCorruptPackages(t *testing.T) {
 	rnd := func() uint64 { v := seq[i%len(seq)]; i++; return v }
 
 	srv, info, err := BootConsumer(site, store, BootConfig{
-		Server: fastServerConfig(), Rand: rnd, MaxAttempts: 4,
+		Server: fastServerConfig(), Rand: rnd,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +314,7 @@ func TestBootConsumerAllCorruptFallsBack(t *testing.T) {
 		bad[20+i] ^= 0x77
 		store.Publish(0, 0, bad)
 	}
-	_, info, err := BootConsumer(site, store, BootConfig{
-		Server: fastServerConfig(), MaxAttempts: 3,
-	})
+	_, info, err := BootConsumer(site, store, BootConfig{Server: fastServerConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +331,7 @@ func TestBootConsumerRevisionMismatchFallsBack(t *testing.T) {
 	store := NewStore()
 	store.Publish(0, 0, stampRevision(t, data, 7))
 	_, info, err := BootConsumer(site, store, BootConfig{
-		Server: fastServerConfig(), MaxAttempts: 3, Revision: 9,
+		Server: fastServerConfig(), Revision: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,9 +345,9 @@ func TestBootConsumerRevisionMismatchFallsBack(t *testing.T) {
 }
 
 // TestBootConsumerAllExcludedFallsBackEarly pins the Pick-exclusion
-// fix end to end: with two bad packages and generous MaxAttempts, the
+// fix end to end: with two bad packages and MaxAttempts = 3, the
 // consumer must fall back as soon as both are excluded instead of
-// burning the remaining attempts re-trying known-bad packages.
+// burning the remaining attempt re-trying a known-bad package.
 func TestBootConsumerAllExcludedFallsBackEarly(t *testing.T) {
 	site, data := siteAndPackageBytes(t)
 	store := NewStore()
@@ -359,9 +356,7 @@ func TestBootConsumerAllExcludedFallsBackEarly(t *testing.T) {
 		bad[30+i] ^= 0x3c
 		store.Publish(0, 0, bad)
 	}
-	_, info, err := BootConsumer(site, store, BootConfig{
-		Server: fastServerConfig(), MaxAttempts: 5,
-	})
+	_, info, err := BootConsumer(site, store, BootConfig{Server: fastServerConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

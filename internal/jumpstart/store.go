@@ -47,13 +47,12 @@ type Store struct {
 	// pkgs.
 	byID map[PackageID]*StoredPackage
 
-	// Quarantine is a bounded ring (most recent quarCap entries kept,
-	// older ones dropped and counted) mirroring the event tracer's
-	// design: a long fleet run with a persistently bad seeder must not
-	// grow the store without bound.
+	// Quarantine is a bounded ring (most recent quarantineCap entries
+	// kept, older ones dropped and counted) mirroring the event
+	// tracer's design: a long fleet run with a persistently bad seeder
+	// must not grow the store without bound.
 	quar     []*StoredPackage
 	quarHead int // index of the oldest quarantined entry
-	quarCap  int
 	quarDrop uint64
 
 	// tel/clock observe store traffic (publish, pick, quarantine,
@@ -64,16 +63,14 @@ type Store struct {
 
 type storeKey struct{ region, bucket int }
 
-// DefaultQuarantineCap bounds the quarantine ring when no explicit cap
-// is set.
-const DefaultQuarantineCap = 64
+// quarantineCap bounds the quarantine ring.
+const quarantineCap = 64
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		pkgs:    make(map[storeKey][]*StoredPackage),
-		byID:    make(map[PackageID]*StoredPackage),
-		quarCap: DefaultQuarantineCap,
+		pkgs: make(map[storeKey][]*StoredPackage),
+		byID: make(map[PackageID]*StoredPackage),
 	}
 }
 
@@ -126,24 +123,6 @@ func (s *Store) PublishRevision(region, bucket int, data []byte, revision uint64
 	return p.ID
 }
 
-// SetQuarantineCap resizes the quarantine ring, keeping the most
-// recent k entries (k <= 0 restores the default cap).
-func (s *Store) SetQuarantineCap(k int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k <= 0 {
-		k = DefaultQuarantineCap
-	}
-	kept := s.quarantinedLocked()
-	if len(kept) > k {
-		s.quarDrop += uint64(len(kept) - k)
-		kept = kept[len(kept)-k:]
-	}
-	s.quarCap = k
-	s.quar = append(make([]*StoredPackage, 0, k), kept...)
-	s.quarHead = 0
-}
-
 // Quarantine records a package that failed validation. When the
 // bounded ring is full the oldest entry is overwritten and counted as
 // dropped.
@@ -152,7 +131,7 @@ func (s *Store) Quarantine(region, bucket int, data []byte) PackageID {
 	defer s.mu.Unlock()
 	s.nextID++
 	p := &StoredPackage{ID: s.nextID, Region: region, Bucket: bucket, Data: data}
-	if len(s.quar) < s.quarCap {
+	if len(s.quar) < quarantineCap {
 		s.quar = append(s.quar, p)
 	} else {
 		s.quar[s.quarHead] = p
@@ -196,11 +175,6 @@ func (s *Store) QuarantineDropped() uint64 {
 func (s *Store) Quarantined() []*StoredPackage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.quarantinedLocked()
-}
-
-// quarantinedLocked copies the ring oldest-first; callers hold s.mu.
-func (s *Store) quarantinedLocked() []*StoredPackage {
 	out := make([]*StoredPackage, 0, len(s.quar))
 	for i := 0; i < len(s.quar); i++ {
 		out = append(out, s.quar[(s.quarHead+i)%len(s.quar)])

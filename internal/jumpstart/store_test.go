@@ -41,35 +41,27 @@ func TestRemoveDropsReference(t *testing.T) {
 }
 
 // TestQuarantineRingBounded pins the bounded-quarantine fix: the store
-// keeps only the most recent K quarantined packages, counts evictions,
-// and returns survivors oldest-first — mirroring the event tracer's
-// bounded ring.
+// keeps only the most recent quarantineCap quarantined packages, counts
+// evictions, and returns survivors oldest-first — mirroring the event
+// tracer's bounded ring.
 func TestQuarantineRingBounded(t *testing.T) {
 	s := NewStore()
-	s.SetQuarantineCap(4)
+	const extra = 6
 	var ids []PackageID
-	for i := 0; i < 10; i++ {
+	for i := 0; i < quarantineCap+extra; i++ {
 		ids = append(ids, s.Quarantine(0, 0, []byte{byte(i)}))
 	}
-	if got := s.QuarantinedCount(); got != 4 {
-		t.Fatalf("count = %d, want cap 4", got)
+	if got := s.QuarantinedCount(); got != quarantineCap {
+		t.Fatalf("count = %d, want cap %d", got, quarantineCap)
 	}
-	if got := s.QuarantineDropped(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
+	if got := s.QuarantineDropped(); got != extra {
+		t.Fatalf("dropped = %d, want %d", got, extra)
 	}
 	q := s.Quarantined()
 	for i, p := range q {
-		if p.ID != ids[6+i] {
-			t.Fatalf("ring[%d] = id %d, want %d (most recent, oldest-first)", i, p.ID, ids[6+i])
+		if p.ID != ids[extra+i] {
+			t.Fatalf("ring[%d] = id %d, want %d (most recent, oldest-first)", i, p.ID, ids[extra+i])
 		}
-	}
-	// Shrinking the cap keeps the newest survivors and counts the rest.
-	s.SetQuarantineCap(2)
-	if s.QuarantinedCount() != 2 || s.QuarantineDropped() != 8 {
-		t.Fatalf("after shrink: count=%d dropped=%d", s.QuarantinedCount(), s.QuarantineDropped())
-	}
-	if q := s.Quarantined(); q[0].ID != ids[8] || q[1].ID != ids[9] {
-		t.Fatalf("shrink kept wrong entries: %d %d", q[0].ID, q[1].ID)
 	}
 }
 
@@ -183,54 +175,13 @@ func TestPickExcludeUniform(t *testing.T) {
 	}
 }
 
-// TestQuarantineCapShrinkThenGrow pins the resize edge cases: a shrink
-// keeps the newest entries and counts the evictions, a following grow
-// preserves oldest-first order and the drop count, and the regrown ring
-// fills and wraps correctly.
-func TestQuarantineCapShrinkThenGrow(t *testing.T) {
+// TestQuarantineConcurrent runs Quarantine from concurrent publishers
+// (under -race by make verify) that together overflow the ring several
+// times. The invariants that must hold whatever the interleaving: the
+// ring never exceeds its cap, every package is either held or counted
+// as dropped, and the survivors read back without duplicates.
+func TestQuarantineConcurrent(t *testing.T) {
 	s := NewStore()
-	s.SetQuarantineCap(5)
-	var ids []PackageID
-	for i := 0; i < 5; i++ {
-		ids = append(ids, s.Quarantine(0, 0, []byte{byte(i)}))
-	}
-	s.SetQuarantineCap(3) // drops the 2 oldest
-	if s.QuarantinedCount() != 3 || s.QuarantineDropped() != 2 {
-		t.Fatalf("after shrink: count=%d dropped=%d", s.QuarantinedCount(), s.QuarantineDropped())
-	}
-	s.SetQuarantineCap(6) // grow: survivors and accounting untouched
-	if s.QuarantinedCount() != 3 || s.QuarantineDropped() != 2 {
-		t.Fatalf("after grow: count=%d dropped=%d", s.QuarantinedCount(), s.QuarantineDropped())
-	}
-	for i, p := range s.Quarantined() {
-		if p.ID != ids[2+i] {
-			t.Fatalf("grow reordered ring: [%d] = id %d, want %d", i, p.ID, ids[2+i])
-		}
-	}
-	// Fill the regrown ring past its cap: 3 survivors + 4 new = 7 > 6,
-	// so the oldest survivor is overwritten and counted.
-	for i := 5; i < 9; i++ {
-		ids = append(ids, s.Quarantine(0, 0, []byte{byte(i)}))
-	}
-	if s.QuarantinedCount() != 6 || s.QuarantineDropped() != 3 {
-		t.Fatalf("after refill: count=%d dropped=%d", s.QuarantinedCount(), s.QuarantineDropped())
-	}
-	for i, p := range s.Quarantined() {
-		if p.ID != ids[3+i] {
-			t.Fatalf("refill order: [%d] = id %d, want %d", i, p.ID, ids[3+i])
-		}
-	}
-}
-
-// TestQuarantineConcurrentWithResize interleaves Quarantine with
-// SetQuarantineCap under concurrent publishers (run under -race by
-// make verify). The invariants that must hold whatever the
-// interleaving: the ring never exceeds the final cap, every package is
-// either held or counted as dropped, and the survivors read back
-// oldest-first without duplicates.
-func TestQuarantineConcurrentWithResize(t *testing.T) {
-	s := NewStore()
-	s.SetQuarantineCap(8)
 	const publishers = 4
 	const perPublisher = 200
 	var wg sync.WaitGroup
@@ -243,17 +194,9 @@ func TestQuarantineConcurrentWithResize(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, k := range []int{3, 16, 1, 8, 5, 12, 2, 8} {
-			s.SetQuarantineCap(k)
-		}
-	}()
 	wg.Wait()
-	s.SetQuarantineCap(8)
-	if got := s.QuarantinedCount(); got > 8 {
-		t.Fatalf("ring overflowed final cap: %d", got)
+	if got := s.QuarantinedCount(); got != quarantineCap {
+		t.Fatalf("ring holds %d, want its cap %d", got, quarantineCap)
 	}
 	held := uint64(s.QuarantinedCount())
 	if held+s.QuarantineDropped() != publishers*perPublisher {

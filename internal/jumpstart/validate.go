@@ -115,20 +115,17 @@ type SeedResult struct {
 
 // SeedAndPublish runs a seeder server, validates the collected package
 // and publishes it, retrying the full seed-validate cycle on failure
-// ("Otherwise, the server restarts in seeder mode and repeats the
-// entire process" — Section VI-A1). Failed packages are quarantined.
+// up to MaxAttempts times ("Otherwise, the server restarts in seeder
+// mode and repeats the entire process" — Section VI-A1). Failed
+// packages are quarantined.
 func SeedAndPublish(site *workload.Site, seederCfg server.Config, v *Validator,
-	store *Store, maxAttempts int) (SeedResult, error) {
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
+	store *Store) (SeedResult, error) {
 	res := SeedResult{}
 	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
+	for attempt := 1; attempt <= MaxAttempts; attempt++ {
 		res.Attempts = attempt
 		cfg := seederCfg
 		cfg.Mode = server.ModeSeeder
-		cfg.JITOpts.InstrumentOptimized = true
 		cfg.Seed = seederCfg.Seed + uint64(attempt-1)*1_000_003
 		srv, err := server.New(site, cfg)
 		if err != nil {

@@ -14,7 +14,6 @@ func TestSeederDeterminism(t *testing.T) {
 	site := testSite(t)
 	run := func() []byte {
 		cfg := testConfig(ModeSeeder)
-		cfg.JITOpts.InstrumentOptimized = true
 		s, err := New(site, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +42,6 @@ func TestSeedersWithDifferentSeedsDiffer(t *testing.T) {
 	site := testSite(t)
 	run := func(seed uint64) []byte {
 		cfg := testConfig(ModeSeeder)
-		cfg.JITOpts.InstrumentOptimized = true
 		cfg.Seed = seed
 		s, err := New(site, cfg)
 		if err != nil {

@@ -14,20 +14,18 @@ import (
 // replayVariant is one server flavour the replay cache must be
 // invisible in.
 type replayVariant struct {
-	name     string
-	mode     Mode
-	lazy     bool
-	instrOpt bool // seeder: instrumented optimized code
+	name string
+	mode Mode
+	lazy bool
 }
 
-// instrumentedSeeder is the production seeder; its package boots the
+// seederVariant is the production seeder; its package boots the
 // consumer variants.
-var instrumentedSeeder = replayVariant{name: "seeder", mode: ModeSeeder, instrOpt: true}
+var seederVariant = replayVariant{name: "seeder", mode: ModeSeeder}
 
 var replayVariants = []replayVariant{
 	{name: "no-jumpstart", mode: ModeNoJumpStart},
-	instrumentedSeeder,
-	{name: "seeder-uninstrumented", mode: ModeSeeder},
+	seederVariant,
 	{name: "consumer", mode: ModeConsumer},
 	{name: "consumer-lazy", mode: ModeConsumer, lazy: true},
 }
@@ -44,16 +42,16 @@ type series struct {
 	cache  *replay.Cache
 }
 
-// seederSeries memoizes the instrumented seeder's run per cache
-// setting: it is both a variant under test and the source of the
-// package the consumer variants boot from.
+// seederSeries memoizes the seeder's run per cache setting: it is both
+// a variant under test and the source of the package the consumer
+// variants boot from.
 var seederSeries = map[bool]*series{}
 
 // runSeries boots a server of the given variant, runs the warmup
 // window, then (unless the seeder has exited) a steady measurement.
 func runSeries(t *testing.T, v replayVariant, replayOn bool) *series {
 	t.Helper()
-	if v.instrOpt {
+	if v.mode == ModeSeeder {
 		if r := seederSeries[replayOn]; r != nil {
 			return r
 		}
@@ -61,10 +59,9 @@ func runSeries(t *testing.T, v replayVariant, replayOn bool) *series {
 	site := testSite(t)
 	cfg := testConfig(v.mode)
 	cfg.ReplayCache = replayOn
-	cfg.JITOpts.InstrumentOptimized = v.instrOpt
 	cfg.LazyWarmup = v.lazy
 	if v.mode == ModeConsumer {
-		dec, err := prof.Decode(runSeries(t, instrumentedSeeder, replayOn).pkg)
+		dec, err := prof.Decode(runSeries(t, seederVariant, replayOn).pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,9 +79,7 @@ func runSeries(t *testing.T, v replayVariant, replayOn bool) *series {
 			t.Fatal("no seeder package")
 		}
 		r.pkg = p.Encode()
-		if v.instrOpt {
-			seederSeries[replayOn] = r
-		}
+		seederSeries[replayOn] = r
 	} else {
 		r.steady = s.MeasureSteady(200)
 	}

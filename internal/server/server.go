@@ -305,6 +305,8 @@ func New(site *workload.Site, cfg Config) (*Server, error) {
 	if err := cfg.MemCfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Only a seeder's optimized code carries counters (Figure 3b).
+	cfg.JITOpts.InstrumentOptimized = cfg.Mode == ModeSeeder
 	var layout object.Layout
 	if cfg.Mode == ModeConsumer && cfg.Package != nil && cfg.UsePropertyOrder {
 		layout = object.HotnessLayout(site.Prog, cfg.Package.Props)

@@ -165,7 +165,6 @@ func sharedSiteAndPackage(t testing.TB) (*workload.Site, *prof.Profile) {
 func runSeeder(t testing.TB, site *workload.Site) *prof.Profile {
 	t.Helper()
 	cfg := testConfig(ModeSeeder)
-	cfg.JITOpts.InstrumentOptimized = true
 	s, err := New(site, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +317,6 @@ func TestMeasureSteadyConsumerBeatsNoJS(t *testing.T) {
 func TestSeederExitsAndStopsServing(t *testing.T) {
 	site := testSite(t)
 	cfg := testConfig(ModeSeeder)
-	cfg.JITOpts.InstrumentOptimized = true
 	s, err := New(site, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 
 	runSeeder := func(tel *telemetry.Set) ([]TickStats, []byte) {
 		cfg := testConfig(ModeSeeder)
-		cfg.JITOpts.InstrumentOptimized = true
 		cfg.Telem = tel
 		s, err := New(site, cfg)
 		if err != nil {
@@ -87,7 +86,6 @@ func TestCycleConservation(t *testing.T) {
 	// Seeder: full pipeline through package sealing.
 	seedTel := telemetry.NewSet()
 	scfg := testConfig(ModeSeeder)
-	scfg.JITOpts.InstrumentOptimized = true
 	scfg.Telem = seedTel
 	seeder, err := New(site, scfg)
 	if err != nil {

@@ -207,47 +207,3 @@ func (p *CycleProfile) WriteFolded(w io.Writer, root string) error {
 	}
 	return nil
 }
-
-// WriteTable emits a human-readable per-phase breakdown: one row per
-// (phase, bucket) with the cycle count and its share of the phase and
-// of the whole run.
-func (p *CycleProfile) WriteTable(w io.Writer) error {
-	if p == nil {
-		return nil
-	}
-	total := p.Total()
-	if total == 0 {
-		_, err := fmt.Fprintln(w, "(no cycles charged)")
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-12s %-18s %16s %8s %8s\n",
-		"phase", "bucket", "cycles", "phase%", "total%"); err != nil {
-		return err
-	}
-	for i, phase := range p.phases {
-		phaseTotal := 0.0
-		for bk := CycleBucket(0); bk < NumCycleBuckets; bk++ {
-			phaseTotal += p.counts[i][bk]
-		}
-		if phaseTotal == 0 {
-			continue
-		}
-		for bk := CycleBucket(0); bk < NumCycleBuckets; bk++ {
-			c := p.counts[i][bk]
-			if c == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%-12s %-18s %16.0f %7.1f%% %7.1f%%\n",
-				phase, bk.String(), c, 100*c/phaseTotal, 100*c/total); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%-12s %-18s %16.0f %7.1f%% %7.1f%%\n",
-			phase, "(phase total)", phaseTotal, 100.0, 100*phaseTotal/total); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%-12s %-18s %16.0f %8s %7.1f%%\n",
-		"all", "(total)", total, "", 100.0)
-	return err
-}

@@ -49,9 +49,6 @@ func TestNilSafety(t *testing.T) {
 	if err := cp.WriteFolded(&buf, "r"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestTelemetryOffAllocFree: a call on a nil set must cost its caller
@@ -255,25 +252,6 @@ func TestCycleProfileBucketsAndExport(t *testing.T) {
 		"server;serving;guard-fail 1\n"
 	if folded.String() != want {
 		t.Fatalf("folded:\n%s\nwant:\n%s", folded.String(), want)
-	}
-
-	var table bytes.Buffer
-	if err := p.WriteTable(&table); err != nil {
-		t.Fatal(err)
-	}
-	for _, needle := range []string{"interp-dispatch", "(phase total)", "100.0%"} {
-		if !strings.Contains(table.String(), needle) {
-			t.Fatalf("table missing %q:\n%s", needle, table.String())
-		}
-	}
-
-	empty := NewCycleProfile()
-	var eb bytes.Buffer
-	if err := empty.WriteTable(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(eb.String(), "no cycles") {
-		t.Fatal("empty table")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -26,9 +25,7 @@ import (
 //     stored, 32 bytes per slot with no index;
 //   - mixed (m != nil): an entry list plus a key → position map. An
 //     array turns mixed for good at the first key that breaks the
-//     packed shape — a string key, a negative key, a key past the end,
-//     or a Delete of a present key — and packed again only when
-//     SortByValue renumbers it 0..n-1.
+//     packed shape: a string key, a negative key or a key past the end.
 //
 // Every observable (At, Keys, Values, String, iteration order, the
 // next append key) is the same in both layouts.
@@ -175,45 +172,6 @@ func (a *Array) Get(k Value) (Value, bool) {
 	}
 }
 
-// Delete removes the entry keyed by k, preserving the order of the
-// remaining entries and the next append key. It reports whether an
-// entry was removed.
-func (a *Array) Delete(k Value) bool {
-	var key arrayKey
-	switch k.Kind() {
-	case KindStr:
-		if ik, ok := canonicalIntKey(k.AsStr()); ok {
-			key = arrayKey{i: ik}
-		} else {
-			key = arrayKey{s: k.AsStr(), b: true}
-		}
-	default:
-		key = arrayKey{i: k.ToInt()}
-	}
-	if a.m == nil {
-		if key.b || key.i < 0 || key.i >= int64(len(a.vals)) {
-			return false
-		}
-		a.toMixed()
-	}
-	m := a.m
-	pos, ok := m.index[key]
-	if !ok {
-		return false
-	}
-	delete(m.index, key)
-	m.entries = append(m.entries[:pos], m.entries[pos+1:]...)
-	for i := pos; i < len(m.entries); i++ {
-		e := &m.entries[i]
-		if e.IsStr {
-			m.index[arrayKey{s: e.StrKey, b: true}] = i
-		} else {
-			m.index[arrayKey{i: e.IntKey}] = i
-		}
-	}
-	return true
-}
-
 // At returns the i-th entry in insertion order.
 func (a *Array) At(i int) Entry {
 	if a.m != nil {
@@ -250,18 +208,6 @@ func (a *Array) Clone() *Array {
 		index:   maps.Clone(a.m.index),
 		nextInt: a.m.nextInt,
 	}}
-}
-
-// SortByValue sorts entries by their values using the Compare ordering,
-// reassigning positions (PHP sort()). Keys are discarded and the array
-// is re-indexed 0..n-1, which makes it packed.
-func (a *Array) SortByValue() {
-	if a.m != nil {
-		a.vals, a.m = a.Values(), nil
-	}
-	sort.SliceStable(a.vals, func(i, j int) bool {
-		return Compare(a.vals[i], a.vals[j]) < 0
-	})
 }
 
 // String renders the array for debugging: [k => v, ...].

@@ -74,48 +74,6 @@ func TestArraySetGenericKeyCoercion(t *testing.T) {
 	}
 }
 
-func TestArrayDeletePreservesOrder(t *testing.T) {
-	a := NewArray(0)
-	a.Append(Int(10))
-	a.Append(Int(20))
-	a.Append(Int(30))
-	if !a.Delete(Int(1)) {
-		t.Fatal("delete a[1] failed")
-	}
-	if a.Delete(Int(1)) {
-		t.Fatal("double delete should fail")
-	}
-	if a.Len() != 2 {
-		t.Fatalf("len = %d", a.Len())
-	}
-	// Order preserved; keys unchanged.
-	if a.At(0).Val.AsInt() != 10 || a.At(1).Val.AsInt() != 30 {
-		t.Fatalf("order after delete: %v", a.String())
-	}
-	if a.At(1).IntKey != 2 {
-		t.Fatalf("key after delete = %d, want 2", a.At(1).IntKey)
-	}
-	// Index map still consistent.
-	if v, ok := a.GetInt(2); !ok || v.AsInt() != 30 {
-		t.Fatalf("a[2] after delete = %v %v", v, ok)
-	}
-}
-
-func TestArrayDeleteStringKey(t *testing.T) {
-	a := NewArray(0)
-	a.SetStr("k", Int(1))
-	a.SetStr("07", Int(2))
-	if !a.Delete(Str("k")) {
-		t.Fatal("delete string key failed")
-	}
-	if !a.Delete(Str("07")) {
-		t.Fatal("delete non-canonical key failed")
-	}
-	if a.Len() != 0 {
-		t.Fatalf("len = %d", a.Len())
-	}
-}
-
 func TestArrayKeysValuesClone(t *testing.T) {
 	a := NewArray(0)
 	a.Append(Int(1))
@@ -135,23 +93,6 @@ func TestArrayKeysValuesClone(t *testing.T) {
 	}
 	if v, _ := c.GetStr("s"); v.AsInt() != 9 {
 		t.Fatal("clone write lost")
-	}
-}
-
-func TestArraySortByValue(t *testing.T) {
-	a := NewArray(0)
-	a.Append(Int(3))
-	a.Append(Int(1))
-	a.Append(Int(2))
-	a.SortByValue()
-	want := []int64{1, 2, 3}
-	for i, w := range want {
-		if a.At(i).Val.AsInt() != w {
-			t.Fatalf("sorted[%d] = %v, want %d", i, a.At(i).Val, w)
-		}
-		if a.At(i).IntKey != int64(i) {
-			t.Fatalf("sorted key[%d] = %d, want %d", i, a.At(i).IntKey, i)
-		}
 	}
 }
 
@@ -211,38 +152,6 @@ func TestPropArraySetGetRoundTrip(t *testing.T) {
 		for k, v := range want {
 			got, ok := a.GetInt(k)
 			if !ok || got.AsInt() != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Delete leaves the remaining entries fetchable.
-func TestPropArrayDeleteConsistent(t *testing.T) {
-	f := func(n uint8, del uint8) bool {
-		size := int(n%20) + 1
-		a := NewArray(0)
-		for i := 0; i < size; i++ {
-			a.Append(Int(int64(i * 10)))
-		}
-		k := int64(del) % int64(size)
-		a.Delete(Int(k))
-		if a.Len() != size-1 {
-			return false
-		}
-		for i := 0; i < size; i++ {
-			v, ok := a.GetInt(int64(i))
-			if int64(i) == k {
-				if ok {
-					return false
-				}
-				continue
-			}
-			if !ok || v.AsInt() != int64(i*10) {
 				return false
 			}
 		}
