@@ -56,6 +56,7 @@ verify:
 # -fuzz target per package per run, so add one line per target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFetchHostileConn$$' -fuzztime 10s ./internal/jumpstart/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidatePackage$$' -fuzztime 10s ./internal/jumpstart/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayInvalidation$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzArrayOps$$' -fuzztime 10s ./internal/value/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtTSP$$' -fuzztime 10s ./internal/layout/

@@ -82,8 +82,8 @@ func run(args []string, stdout io.Writer) error {
 	defer out.Flush()
 
 	fmt.Fprintf(out, "# HHVM Jump-Start reproduction — experiment harness\n")
-	fmt.Fprintf(out, "# site: %d units, offered load %.0f RPS, horizon %.0fs (quick=%v, workers=%d)\n",
-		cfg.SiteCfg.Units, cfg.ServerCfg.OfferedRPS, cfg.Horizon, *quick, *workers)
+	fmt.Fprintf(out, "# site: %d units, horizon %.0fs (quick=%v, workers=%d)\n",
+		cfg.SiteCfg.Units, cfg.Horizon, *quick, *workers)
 
 	if *sweep > 0 {
 		fmt.Fprintf(out, "# sweeping %d seeds from base %d...\n\n", *sweep, *seed)

@@ -18,8 +18,6 @@ func microConfig(bool) experiments.Config {
 	cfg.SiteCfg.HelpersPerUnit = 6
 	cfg.SiteCfg.EndpointsPerUnit = 3
 	cfg.ServerCfg.OfferedRPS = 150
-	cfg.ServerCfg.ProfileWindow = 400
-	cfg.ServerCfg.SeederCollectWindow = 300
 	cfg.ServerCfg.InitCycles = 20e6
 	cfg.ServerCfg.MicroSampleEvery = 64
 	cfg.Horizon = 40

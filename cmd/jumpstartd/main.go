@@ -5,7 +5,7 @@
 // Usage:
 //
 //	jumpstartd -mode nojumpstart -seconds 600
-//	jumpstartd -mode seeder -package /tmp/profile.pkg         # write a package
+//	jumpstartd -mode seeder -package /tmp/profile.pkg         # seed, validate, write
 //	jumpstartd -mode consumer -package /tmp/profile.pkg       # read a package
 //	jumpstartd -mode consumer -package /tmp/profile.pkg \
 //	           -warmup-mode lazy                              # serve immediately, page
@@ -14,7 +14,7 @@
 // Networked profile store (two-process handoff over localhost):
 //
 //	jumpstartd -serve-store 127.0.0.1:8099                    # store daemon
-//	jumpstartd -mode seeder   -store-url http://127.0.0.1:8099  # upload
+//	jumpstartd -mode seeder   -store-url http://127.0.0.1:8099  # validate, upload
 //	jumpstartd -mode consumer -store-url http://127.0.0.1:8099  # fetch + boot
 //
 // Seeder aggregation (merge N seeder packages into one consensus package):
@@ -174,12 +174,8 @@ func run(args []string, stdout io.Writer) error {
 	switch *mode {
 	case "nojumpstart":
 		cfg.Mode = server.ModeNoJumpStart
-	case "seeder":
-		cfg.Mode = server.ModeSeeder
 	case "consumer":
-		cfg.UsePropertyOrder = true
-		cfg.JITOpts.UseVasmCounters = true
-		cfg.JITOpts.UseSeededCallGraph = true
+		cfg = consumerConfig(cfg)
 		cfg.LazyWarmup = wmode == jumpstart.WarmupLazy
 		if *storeURL != "" {
 			// Networked boot: fetch a package through the retrying
@@ -193,14 +189,12 @@ func run(args []string, stdout io.Writer) error {
 				info.UsedJumpStart, info.Attempts, info.PackageID, info.FallbackReason)
 			s, pager = srv, pg
 		} else if *aggregatePkgs != "" {
-			cfg.Mode = server.ModeConsumer
 			pkg, err := mergePackages(*aggregatePkgs, *pkgPath, stdout)
 			if err != nil {
 				return err
 			}
 			cfg.Package = pkg
 		} else {
-			cfg.Mode = server.ModeConsumer
 			if *pkgPath == "" {
 				return fmt.Errorf("consumer mode requires -package, -aggregate, or -store-url")
 			}
@@ -214,8 +208,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			cfg.Package = pkg
 		}
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
 	if *httpAddr != "" {
@@ -228,21 +220,33 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
-	if s == nil {
-		s, err = server.New(site, cfg)
-		if err != nil {
+	var ticks []server.TickStats
+	var seeded jumpstart.SeedResult
+	var seedStore *jumpstart.Store
+	if *mode == "seeder" {
+		// Section VI-A1's loop. The process-local store is the
+		// "database" that keeps the packages failing validation.
+		seedStore = jumpstart.NewStore()
+		v := &jumpstart.Validator{Site: site, ConsumerConfig: consumerConfig(cfg),
+			Revision: *revision, Telem: tel}
+		if seeded, err = jumpstart.SeedAndPublish(site, cfg, *seconds, v, seedStore); err != nil {
 			return err
 		}
+		ticks = seeded.Ticks
+	} else {
+		if s == nil {
+			if s, err = server.New(site, cfg); err != nil {
+				return err
+			}
+		}
+		ticks = s.Run(*seconds)
 	}
 	fmt.Fprintf(stdout, "# %s server, region %d bucket %d, offered %.0f RPS\n",
 		*mode, *region, *bucket, cfg.OfferedRPS)
 	fmt.Fprintln(stdout, "t_seconds,completed,avg_latency_ms,code_bytes,phase,faults")
-	for _, tk := range s.Run(*seconds) {
+	for _, tk := range ticks {
 		fmt.Fprintf(stdout, "%.0f,%d,%.1f,%d,%s,%d\n",
 			tk.T, tk.Completed, tk.AvgLatencyMS, tk.CodeBytes, tk.Phase, tk.Faults)
-		if s.Phase() == server.PhaseExited {
-			break
-		}
 	}
 	if wmode == jumpstart.WarmupLazy {
 		ls := s.LazyStats()
@@ -253,32 +257,29 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 	}
-
 	if *mode == "seeder" {
-		pkg, ok := s.SeederPackage()
-		if !ok {
-			return fmt.Errorf("seeder did not finish within %v virtual seconds", *seconds)
-		}
-		c := pkg.Coverage()
+		fmt.Fprintf(stdout, "# seed: attempts=%d quarantined=%d\n",
+			seeded.Attempts, seedStore.QuarantinedCount())
+		c := seeded.Package.Coverage()
 		fmt.Fprintf(stdout, "# package: %d funcs, %d hot blocks, %d requests profiled\n",
 			c.Funcs, c.Blocks, c.RequestCount)
+		// File and upload carry the published, stamped and validated
+		// bytes; Get cannot miss an id SeedAndPublish just returned.
+		entry, _ := seedStore.Get(seeded.Published)
 		if *pkgPath != "" {
-			if err := os.WriteFile(*pkgPath, pkg.Encode(), 0o644); err != nil {
+			if err := os.WriteFile(*pkgPath, entry.Data, 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "# wrote %s (%d bytes)\n", *pkgPath, len(pkg.Encode()))
+			fmt.Fprintf(stdout, "# wrote %s (%d bytes)\n", *pkgPath, len(entry.Data))
 		}
 		if *storeURL != "" {
-			if *revision != 0 {
-				pkg.Meta.Revision = int64(*revision)
-			}
 			cli := storeClient(*storeURL, *fetchBudget, *seed, transport.NewWallClock(), tel)
-			id, err := cli.Publish(*region, *bucket, *revision, pkg.Encode())
+			id, err := cli.Publish(*region, *bucket, *revision, entry.Data)
 			if err != nil {
 				return fmt.Errorf("publish to %s: %w", *storeURL, err)
 			}
 			fmt.Fprintf(stdout, "# published package id=%d (%d bytes) to %s\n",
-				id, len(pkg.Encode()), *storeURL)
+				id, len(entry.Data), *storeURL)
 		}
 	}
 
@@ -286,6 +287,16 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	return tel.ExportFiles(*tracePath, *metricsPath, *cycleProf, "jumpstartd")
+}
+
+// consumerConfig is cfg as a Jump-Start consumer with every Section V
+// optimization: -mode consumer and the seeder's validation trial boot.
+func consumerConfig(cfg server.Config) server.Config {
+	cfg.Mode = server.ModeConsumer
+	cfg.UsePropertyOrder = true
+	cfg.JITOpts.UseVasmCounters = true
+	cfg.JITOpts.UseSeededCallGraph = true
+	return cfg
 }
 
 // mergePackages decodes the comma-separated seeder package files, merges

@@ -11,6 +11,7 @@ import (
 	"jumpstart/internal/jumpstart"
 	"jumpstart/internal/jumpstart/transport"
 	"jumpstart/internal/obs"
+	"jumpstart/internal/prof"
 	"jumpstart/internal/telemetry"
 )
 
@@ -354,5 +355,55 @@ func TestLazyStoreHandoff(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "consumer", "-warmup-mode", "bogus"}, &consOut); err == nil {
 		t.Fatal("bogus -warmup-mode accepted")
+	}
+}
+
+// TestSeederSeries: the seeder prints its whole tick series, from the
+// first init tick through the tick in which it exited, and then the
+// validate-and-publish summary.
+func TestSeederSeries(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-mode", "seeder", "-quick", "-seconds", "600",
+		"-package", filepath.Join(t.TempDir(), "p.pkg")}, &out)
+	if err != nil {
+		t.Fatalf("seeder: %v\n%s", err, out.String())
+	}
+	var rows []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if line != "" && line[0] >= '0' && line[0] <= '9' {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) < 2 {
+		t.Fatalf("seeder printed %d tick rows:\n%s", len(rows), out.String())
+	}
+	if f := strings.Split(rows[len(rows)-1], ","); f[4] != "exited" {
+		t.Fatalf("last row %q: phase %q, want exited", rows[len(rows)-1], f[4])
+	}
+	if !strings.Contains(out.String(), "# seed: attempts=1 quarantined=0\n# package: ") {
+		t.Fatalf("missing seed summary before the package line:\n%s", out.String())
+	}
+}
+
+// TestSeederRevisionStamp: -revision stamps the package file, not
+// only the upload.
+func TestSeederRevisionStamp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.pkg")
+	var out strings.Builder
+	err := run([]string{"-mode", "seeder", "-quick", "-revision", "7",
+		"-package", path}, &out)
+	if err != nil {
+		t.Fatalf("seeder: %v\n%s", err, out.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := prof.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pkg.Meta.Revision != 7 {
+		t.Fatalf("package file revision = %d, want 7", pkg.Meta.Revision)
 	}
 }

@@ -24,7 +24,9 @@ import (
 
 // Config parameterizes all experiments.
 type Config struct {
-	SiteCfg        workload.SiteConfig
+	SiteCfg workload.SiteConfig
+	// ServerCfg's load, profile windows and OptimizeMinEntries are set
+	// by NewLab's Calibrate from the site's measured capacity.
 	ServerCfg      server.Config
 	Horizon        float64 // warmup window, Figure 4's 600 s
 	LongHorizon    float64 // Figure 1/2's ~25 min window (scaled)
@@ -65,8 +67,6 @@ func Default() Config {
 	}
 	srvCfg.MicroSampleEvery = 8
 	srvCfg.OfferedRPS = 400
-	srvCfg.ProfileWindow = 30_000
-	srvCfg.SeederCollectWindow = 10_000
 	srvCfg.InitCycles = 100e6
 
 	return Config{
@@ -88,8 +88,6 @@ func Quick() Config {
 	cfg.SiteCfg.EndpointsPerUnit = 4
 	cfg.ServerCfg.OfferedRPS = 400
 	cfg.ServerCfg.TickSeconds = 2
-	cfg.ServerCfg.ProfileWindow = 12_000
-	cfg.ServerCfg.SeederCollectWindow = 4_000
 	cfg.ServerCfg.InitCycles = 60e6
 	cfg.Horizon = 240
 	cfg.LongHorizon = 480

@@ -27,8 +27,8 @@ func TestValidatorUnhealthyTrial(t *testing.T) {
 }
 
 // TestValidatorTrialBootFailures covers both ErrBoot paths: a consumer
-// config the server rejects outright, and a warmup deadline too short
-// for the trial to reach serving.
+// config the server rejects outright, and a trial whose init cannot
+// finish within the warmup deadline.
 func TestValidatorTrialBootFailures(t *testing.T) {
 	site, data := siteAndPackageBytes(t)
 
@@ -39,14 +39,11 @@ func TestValidatorTrialBootFailures(t *testing.T) {
 		t.Fatalf("invalid config: err = %v, want ErrBoot", err)
 	}
 
-	v = &Validator{
-		Site:           site,
-		ConsumerConfig: fastServerConfig(),
-		// One tick of virtual time: init alone cannot complete.
-		WarmupDeadline: fastServerConfig().TickSeconds,
-	}
+	slow := fastServerConfig()
+	slow.InitCycles = 1e15 // init runs far past the trial's warmup deadline
+	v = &Validator{Site: site, ConsumerConfig: slow}
 	if err := v.Validate(data); !errors.Is(err, ErrBoot) {
-		t.Fatalf("tiny deadline: err = %v, want ErrBoot", err)
+		t.Fatalf("init past the deadline: err = %v, want ErrBoot", err)
 	}
 }
 

@@ -6,7 +6,6 @@
 package jumpstart
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -309,15 +308,4 @@ func (s *Store) Remove(id PackageID) bool {
 	delete(s.byID, id)
 	s.tel.Event(s.now(), "store", "remove", telemetry.I("id", int64(id)))
 	return true
-}
-
-// String summarizes the store.
-func (s *Store) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, list := range s.pkgs {
-		total += len(list)
-	}
-	return fmt.Sprintf("jumpstart.Store{published: %d, quarantined: %d}", total, len(s.quar))
 }

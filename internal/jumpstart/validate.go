@@ -18,7 +18,7 @@ type Validator struct {
 	// Site is the website the package must serve.
 	Site *workload.Site
 	// ConsumerConfig is the configuration used for the trial boot.
-	// Its Mode and Package fields are overwritten.
+	// Its Mode, Package and Telem fields are overwritten.
 	ConsumerConfig server.Config
 	// Requests is the validation traffic volume ("remains healthy for
 	// a few minutes", scaled).
@@ -27,8 +27,6 @@ type Validator struct {
 	MaxFaultRate float64
 	// Thresholds is the coverage floor of Section VI-B.
 	Thresholds prof.Thresholds
-	// WarmupDeadline bounds the trial boot's virtual warmup seconds.
-	WarmupDeadline float64
 	// Revision is the build checksum of the source revision this
 	// validator serves (0 disables revision checking, for callers that
 	// predate revision stamping). A package whose Meta.Revision differs
@@ -39,6 +37,9 @@ type Validator struct {
 	// with observation on or off.
 	Telem *telemetry.Set
 }
+
+// validateWarmupDeadline bounds the trial boot's virtual seconds to serving.
+const validateWarmupDeadline = 3600
 
 // Validation errors.
 var (
@@ -82,15 +83,12 @@ func (v *Validator) validate(data []byte) error {
 	cfg := v.ConsumerConfig
 	cfg.Mode = server.ModeConsumer
 	cfg.Package = p
+	cfg.Telem = nil
 	trial, err := server.New(v.Site, cfg)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBoot, err)
 	}
-	deadline := v.WarmupDeadline
-	if deadline == 0 {
-		deadline = 3600
-	}
-	if err := trial.WarmToServing(deadline); err != nil {
+	if err := trial.WarmToServing(validateWarmupDeadline); err != nil {
 		return fmt.Errorf("%w: %v", ErrBoot, err)
 	}
 	n := v.Requests
@@ -106,20 +104,24 @@ func (v *Validator) validate(data []byte) error {
 	return nil
 }
 
-// SeedResult reports one seeding attempt.
+// SeedResult reports a seed-validate-publish run.
 type SeedResult struct {
 	Attempts  int
 	Published PackageID
 	Package   *prof.Profile
+	// Ticks is the accepted attempt's tick series, from process start
+	// through the tick in which the seeder exited.
+	Ticks []server.TickStats
 }
 
-// SeedAndPublish runs a seeder server, validates the collected package
-// and publishes it, retrying the full seed-validate cycle on failure
-// up to MaxAttempts times ("Otherwise, the server restarts in seeder
-// mode and repeats the entire process" — Section VI-A1). Failed
-// packages are quarantined.
-func SeedAndPublish(site *workload.Site, seederCfg server.Config, v *Validator,
-	store *Store) (SeedResult, error) {
+// SeedAndPublish runs a seeder server for at most seconds of virtual
+// time, validates the collected package and publishes it, retrying the
+// full seed-validate cycle on failure up to MaxAttempts times
+// ("Otherwise, the server restarts in seeder mode and repeats the
+// entire process" — Section VI-A1). Failed packages are quarantined.
+// The published entry holds the validated, v.Revision-stamped bytes.
+func SeedAndPublish(site *workload.Site, seederCfg server.Config, seconds float64,
+	v *Validator, store *Store) (SeedResult, error) {
 	res := SeedResult{}
 	var lastErr error
 	for attempt := 1; attempt <= MaxAttempts; attempt++ {
@@ -131,13 +133,13 @@ func SeedAndPublish(site *workload.Site, seederCfg server.Config, v *Validator,
 		if err != nil {
 			return res, err
 		}
-		if err := srv.WarmToServing(7200); err != nil {
-			lastErr = err
-			continue
+		var ticks []server.TickStats
+		for srv.Phase() != server.PhaseExited && srv.Now() < seconds {
+			ticks = append(ticks, srv.Tick())
 		}
 		pkg, ok := srv.SeederPackage()
 		if !ok {
-			lastErr = errors.New("jumpstart: seeder produced no package")
+			lastErr = fmt.Errorf("jumpstart: seeder did not finish within %v virtual seconds", seconds)
 			continue
 		}
 		if v.Revision != 0 {
@@ -154,6 +156,7 @@ func SeedAndPublish(site *workload.Site, seederCfg server.Config, v *Validator,
 		}
 		res.Published = store.PublishRevision(cfg.Region, cfg.Bucket, data, v.Revision)
 		res.Package = pkg
+		res.Ticks = ticks
 		return res, nil
 	}
 	return res, lastErr
