@@ -63,7 +63,6 @@ import (
 	"jumpstart/internal/netsim"
 	"jumpstart/internal/obs"
 	"jumpstart/internal/scenario"
-	"jumpstart/internal/telemetry"
 )
 
 func main() {
@@ -98,10 +97,7 @@ func run(args []string, stdout io.Writer) error {
 	defects := fs.Float64("defects", 0, "probability a seeder produces a crash-inducing package")
 	quick := fs.Bool("quick", true, "use the reduced-scale measurement configuration")
 	seconds := fs.Float64("seconds", 0, "fleet-sim duration (0 = 6x warmup horizon)")
-	tracePath := fs.String("trace", "", "write the structured event trace as JSONL")
-	metricsPath := fs.String("metrics", "", "write the metrics registry snapshot as JSON")
-	cycleProf := fs.String("cycleprof", "", "write the virtual-cycle profile as folded stacks")
-	spansPath := fs.String("spans", "", "write the causal boot-span trace (.json = Chrome trace_event for Perfetto, else JSONL)")
+	sinks := obs.NewSinks(fs)
 	useTransport := fs.Bool("transport", false, "route package publishes/fetches through the networked store over the simulated fabric")
 	netLatency := fs.Float64("net-latency", 0, "base one-way store RPC latency, virtual seconds")
 	fetchBudget := fs.Float64("fetch-budget", 30, "per-boot fetch deadline budget, virtual seconds")
@@ -141,6 +137,13 @@ func run(args []string, stdout io.Writer) error {
 	if *geometry != "uniform" && *geometry != "mixed" {
 		return usageErr("-geometry must be uniform or mixed, got %q", *geometry)
 	}
+	// Values first; then a flag that acts only through another is
+	// rejected when set without it, instead of being silently dropped.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	brownout := *brownStart > 0 && *brownSecs > 0
+	// The multi-region store rides on the same transport config.
+	networked := *useTransport || brownout || *netLatency > 0 || *replicas > 0
 	for _, c := range []struct {
 		bad  bool
 		name string
@@ -164,6 +167,16 @@ func run(args []string, stdout io.Writer) error {
 		{*poolSize < 0, "-pool-size", "must be >= 0"},
 		{*poolBackfill < 0, "-pool-backfill", "must be >= 0"},
 		{*geomStretch < 1, "-geometry-stretch", "must be >= 1"},
+		{*brownStart > 0 && !brownout, "-brownout-start", "requires -brownout-seconds > 0"},
+		{*brownSecs > 0 && !brownout, "-brownout-seconds", "requires -brownout-start > 0"},
+		{set["brownout-drop"] && !brownout, "-brownout-drop", "requires -brownout-start and -brownout-seconds"},
+		{set["fetch-budget"] && !networked, "-fetch-budget", "requires -transport, -net-latency, a brownout or -replicas"},
+		{set["aggregate"] && *replicas == 0, "-aggregate", "requires -replicas > 0"},
+		{set["store-nodes"] && *replicas == 0, "-store-nodes", "requires -replicas > 0"},
+		{set["propagate-every"] && *replicas == 0, "-propagate-every", "requires -replicas > 0"},
+		{set["inter-latency"] && *replicas == 0, "-inter-latency", "requires -replicas > 0"},
+		{set["pool-backfill"] && *poolSize == 0, "-pool-backfill", "requires -pool-size > 0"},
+		{set["geometry-stretch"] && *geometry != "mixed", "-geometry-stretch", "requires -geometry mixed"},
 	} {
 		if c.bad {
 			return usageErr("%s %s", c.name, c.msg)
@@ -171,18 +184,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := labConfig(*quick)
-	var tel *telemetry.Set
-	if *tracePath != "" || *metricsPath != "" || *cycleProf != "" || *spansPath != "" {
-		tel = telemetry.NewSet()
-		if *spansPath != "" {
-			// A full deployment's span tree outgrows the default ring;
-			// a roomy one keeps parents resident for their children.
-			tel.Trace = telemetry.NewTrace(1 << 17)
-		}
-		// The curve-measurement servers and the fleet run strictly
-		// sequentially here, so they can share one single-writer set.
-		cfg.ServerCfg.Telem = tel
-	}
+	// The curve-measurement servers and the fleet run strictly
+	// sequentially here, so they can share one single-writer set.
+	tel := sinks.NewSet()
+	cfg.ServerCfg.Telem = tel
 	fmt.Fprintln(stdout, "# measuring single-server warmup curves (detailed simulation)...")
 	lab, err := experiments.NewLab(cfg)
 	if err != nil {
@@ -229,10 +234,9 @@ func run(args []string, stdout io.Writer) error {
 		// No mutated-site measurement requested: carry every package.
 		fcfg.RemapHitRate = 1
 	}
-	// The multi-region store rides on the same transport config.
-	if *useTransport || *brownStart > 0 || *netLatency > 0 || *replicas > 0 {
+	if networked {
 		net := netsim.Config{BaseLatency: *netLatency}
-		if *brownStart > 0 && *brownSecs > 0 {
+		if brownout {
 			net.Faults = append(net.Faults,
 				netsim.Brownout(*brownStart, *brownStart+*brownSecs, *brownDrop, *netLatency))
 		}
@@ -255,7 +259,7 @@ func run(args []string, stdout io.Writer) error {
 		fcfg.Scenario = eng
 		// Boots that absorb a failed-over region's load warm under
 		// extra traffic: every milestone lands ~1.5x later.
-		fcfg.CurveFailover = jsCurve.Stretch(1.5)
+		fcfg.CurveFailover = jsCurve.Stretch(experiments.FailoverStretch)
 	}
 	if *geometry == "mixed" {
 		fcfg.GeometryClasses = 2
@@ -324,8 +328,5 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "# fallback reason: %q x%d\n", rc.Reason, rc.Count)
 	}
 
-	if err := obs.ExportSpans(tel, *spansPath, stdout); err != nil {
-		return err
-	}
-	return tel.ExportFiles(*tracePath, *metricsPath, *cycleProf, "fleetsim")
+	return sinks.Write(tel, stdout)
 }

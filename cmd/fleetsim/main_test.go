@@ -319,6 +319,17 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-scenario", "hurricane"},
 		{"-geometry", "triangular"},
 		{"-remap-policy", "vibes"},
+		// Flags that act only through another flag.
+		{"-brownout-start", "300"},
+		{"-brownout-seconds", "600"},
+		{"-brownout-drop", "0.97"},
+		{"-fetch-budget", "10"},
+		{"-aggregate", "2"},
+		{"-store-nodes", "3"},
+		{"-propagate-every", "30"},
+		{"-inter-latency", "0.5"},
+		{"-pool-backfill", "0.05"},
+		{"-geometry-stretch", "2"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

@@ -72,10 +72,7 @@ func run(args []string, stdout io.Writer) error {
 	bucket := fs.Int("bucket", 0, "semantic bucket")
 	seed := fs.Uint64("seed", 1, "traffic seed")
 	rps := fs.Float64("rps", 0, "offered RPS (0 = default)")
-	tracePath := fs.String("trace", "", "write the structured event trace as JSONL")
-	metricsPath := fs.String("metrics", "", "write the metrics registry snapshot as JSON")
-	cycleProf := fs.String("cycleprof", "", "write the virtual-cycle profile as folded stacks")
-	spansPath := fs.String("spans", "", "write the causal boot-span trace (.json = Chrome trace_event for Perfetto, else JSONL)")
+	sinks := obs.NewSinks(fs)
 	httpAddr := fs.String("http", "", "serve /metrics and /debug/pprof on this address while simulating")
 	serveStore := fs.String("serve-store", "", "run as a networked profile-store server on this address instead of simulating")
 	serveSeconds := fs.Float64("serve-seconds", 0, "wall seconds to serve the store before exiting (0 = forever)")
@@ -107,13 +104,13 @@ func run(args []string, stdout io.Writer) error {
 		{*rps < 0, "-rps", "must be >= 0"},
 		{*fetchBudget <= 0, "-fetch-budget", "must be > 0"},
 		{*serveSeconds < 0, "-serve-seconds", "must be >= 0"},
+		{wmode == jumpstart.WarmupLazy && *mode != "consumer", "-warmup-mode lazy", "requires -mode consumer"},
+		{*mode == "consumer" && *pkgPath == "" && *aggregatePkgs == "" && *storeURL == "",
+			"consumer mode", "requires -package, -aggregate, or -store-url"},
 	} {
 		if c.bad {
 			return fmt.Errorf("%s %s (see jumpstartd -h for usage)", c.name, c.msg)
 		}
-	}
-	if wmode == jumpstart.WarmupLazy && *mode != "consumer" {
-		return fmt.Errorf("-warmup-mode lazy requires -mode consumer (see jumpstartd -h for usage)")
 	}
 	if *aggregatePkgs != "" && *mode != "consumer" {
 		// Merge-only invocation: combine seeder packages into a
@@ -122,27 +119,18 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Telemetry is allocated whenever any sink wants it; the simulation
-	// output is byte-identical either way.
-	var tel *telemetry.Set
-	if *tracePath != "" || *metricsPath != "" || *cycleProf != "" || *httpAddr != "" || *spansPath != "" {
+	// Telemetry is allocated whenever any sink or the live endpoint
+	// wants it; the simulation output is byte-identical either way.
+	tel := sinks.NewSet()
+	if tel == nil && *httpAddr != "" {
 		tel = telemetry.NewSet()
-		if *spansPath != "" {
-			// Keep whole span trees resident: a long run's phase spans
-			// and a networked boot's retry children must not evict each
-			// other's parents.
-			tel.Trace = telemetry.NewTrace(1 << 17)
-		}
 	}
 
 	if *serveStore != "" {
 		if err := runStoreServer(*serveStore, *serveSeconds, *pkgPath, *region, *bucket, tel, stdout); err != nil {
 			return err
 		}
-		if err := obs.ExportSpans(tel, *spansPath, stdout); err != nil {
-			return err
-		}
-		return tel.ExportFiles(*tracePath, *metricsPath, *cycleProf, "jumpstartd")
+		return sinks.Write(tel, stdout)
 	}
 
 	scfg := workload.DefaultSiteConfig()
@@ -195,9 +183,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			cfg.Package = pkg
 		} else {
-			if *pkgPath == "" {
-				return fmt.Errorf("consumer mode requires -package, -aggregate, or -store-url")
-			}
 			data, err := os.ReadFile(*pkgPath)
 			if err != nil {
 				return err
@@ -283,10 +268,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if err := obs.ExportSpans(tel, *spansPath, stdout); err != nil {
-		return err
-	}
-	return tel.ExportFiles(*tracePath, *metricsPath, *cycleProf, "jumpstartd")
+	return sinks.Write(tel, stdout)
 }
 
 // consumerConfig is cfg as a Jump-Start consumer with every Section V

@@ -96,6 +96,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-fetch-budget", "0"},
 		{"-serve-seconds", "-1"},
 		{"-warmup-mode", "bogus"},
+		{"-mode", "consumer"}, // no package source
 	}
 	for _, args := range cases {
 		var out strings.Builder

@@ -21,9 +21,9 @@ func allocFleet(t *testing.T, workers int) *Fleet {
 // quiet Tick allocates only parallel.ForEachShard's fixed cost, as
 // measured: the shard closure with one worker, plus a channel and two
 // allocations per launched shard with two. The per-tick result
-// buffers are reused and the merge passes allocate nothing. A C3 wave
-// restart walks the group's member list in place. Run by make
-// alloccheck.
+// buffers are reused and the merge passes allocate nothing, also for
+// servers that reach steady capacity. A C3 wave restart walks the
+// group's member list in place. Run by make alloccheck.
 func TestFleetTickAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
@@ -35,7 +35,33 @@ func TestFleetTickAllocFree(t *testing.T) {
 		}
 	}
 
+	// A tick in which servers reach steady capacity costs the same:
+	// with telemetry and RecordSeries off, the merge builds nothing per
+	// warmed server (no span attributes without a trace).
 	f := allocFleet(t, 1)
+	const nWarm = 50
+	warmTick := func() {
+		for i := range f.servers[:nWarm] {
+			s := &f.servers[i]
+			s.state, s.stateT, s.curve = stWarming, f.now-1e9, f.curves[flCold]
+		}
+		f.Tick()
+	}
+	warmTick()
+	warmed := 0
+	for _, fl := range f.flags[:nWarm] {
+		if fl&tkWarmed != 0 {
+			warmed++
+		}
+	}
+	if warmed != nWarm {
+		t.Fatalf("%d of %d servers reached steady capacity, want all", warmed, nWarm)
+	}
+	if got := testing.AllocsPerRun(100, warmTick); got != 1 {
+		t.Errorf("a tick warming %d servers makes %v allocations, want 1", nWarm, got)
+	}
+
+	f = allocFleet(t, 1)
 	if got := testing.AllocsPerRun(20, func() {
 		f.c3Wave = 0
 		f.restartC3Wave()

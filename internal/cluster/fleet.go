@@ -818,17 +818,20 @@ func (f *Fleet) mergeActions(s *simServer, fl srvTick) {
 		// The boot never reached steady capacity.
 		f.closeBootSpan(s, "crash")
 	}
-	if fl&tkWarmed != 0 && s.bootSpan != 0 {
-		// The server reached steady capacity this tick: the warmup
-		// span tiles [warmup start, now] and the boot span closes
-		// over [boot start, now] — children (fetch + warmup) sum
-		// exactly to the parent duration.
-		f.tel.SpanUnder(s.bootSpan, s.stateT, f.now, "boot", "warmup",
-			telemetry.B("jumpstart", s.usedJS))
-		f.closeBootSpan(s, "warmed")
+	if fl&tkWarmed != 0 {
+		// Steady capacity this tick. Every warming state is entered
+		// through beginBoot, so bootT and stateT hold, trace or not.
 		if f.cfg.RecordSeries {
 			f.bootLat = append(f.bootLat, f.now-s.bootT)
 			f.tts = append(f.tts, f.now-s.stateT)
+		}
+		if s.bootSpan != 0 {
+			// The warmup span tiles [warmup start, now] and the boot
+			// span closes over [boot start, now] — children (fetch +
+			// warmup) sum exactly to the parent duration.
+			f.tel.SpanUnder(s.bootSpan, s.stateT, f.now, "boot", "warmup",
+				telemetry.B("jumpstart", s.usedJS))
+			f.closeBootSpan(s, "warmed")
 		}
 	}
 	// Publish before boot preserves the sequential intra-tick
@@ -1434,14 +1437,15 @@ func (f *Fleet) WarmupSeries() [][]float64 {
 }
 
 // BootLatencies returns the boot-start → steady-capacity duration of
-// every completed boot, in completion order (nil unless
-// Config.RecordSeries).
+// every completed boot, in completion order. It is nil unless
+// Config.RecordSeries, and does not depend on Config.Telem.
 func (f *Fleet) BootLatencies() []float64 { return f.bootLat }
 
 // TimesToSteady returns the warmup-start → steady-capacity duration of
-// every completed boot, in completion order (nil unless
-// Config.RecordSeries). It differs from BootLatencies by the restart
-// downtime and any virtual time the package fetch burned.
+// every completed boot, in completion order. It is nil unless
+// Config.RecordSeries, and does not depend on Config.Telem. It differs
+// from BootLatencies by the restart downtime and any virtual time the
+// package fetch burned.
 func (f *Fleet) TimesToSteady() []float64 { return f.tts }
 
 // ScenarioStats is the scenario engine's fleet-side accounting.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"jumpstart/internal/netsim"
@@ -15,14 +16,15 @@ import (
 func obsSet() *telemetry.Set {
 	return &telemetry.Set{
 		Metrics: telemetry.NewRegistry(),
-		Trace:   telemetry.NewTrace(1 << 17),
+		Trace:   telemetry.NewTrace(telemetry.SpanTraceCapacity),
 		Cycles:  telemetry.NewCycleProfile(),
 	}
 }
 
-// spanScenarios are the three boot paths whose span trees differ:
-// direct in-memory picks, the networked transport (fetch/backoff/rpc
-// children), and the multi-region hierarchy (replica legs).
+// spanScenarios are the boot paths whose span trees differ: direct
+// in-memory picks, the networked transport (fetch/backoff/rpc
+// children), the multi-region hierarchy (replica legs) and warm-pool
+// swaps (no fetch at all).
 var spanScenarios = []struct {
 	name string
 	cfg  func() Config
@@ -42,6 +44,7 @@ var spanScenarios = []struct {
 			netsim.Config{BaseLatency: 0.02},
 			MultiConfig{NodesPerRegion: 3, Replicas: 2, PropagateEvery: 60})
 	}},
+	{"pool", func() Config { return poolConfig(8, 0) }},
 }
 
 // TestFleetSpanDeterminism is the tentpole observability contract at
@@ -148,5 +151,58 @@ func TestFleetWarmupSeriesClassification(t *testing.T) {
 	}
 	if got := len(f.TimesToSteady()); got == 0 {
 		t.Fatal("no times-to-steady recorded")
+	}
+}
+
+// TestBootSamplesWithoutTelemetry pins that the per-boot warmup
+// samples are the fleet's own bookkeeping, not a by-product of
+// tracing: with RecordSeries on, a run without telemetry records the
+// same boot latencies and times to steady as a traced one, on every
+// boot path. The traced run also checks the invariant that lets the
+// samples skip the trace: every server that reaches steady capacity
+// does so inside an open boot, so each sample has exactly one warmup
+// span of the same duration, in the same order.
+func TestBootSamplesWithoutTelemetry(t *testing.T) {
+	for _, sc := range spanScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(tel *telemetry.Set) *Fleet {
+				cfg := sc.cfg()
+				cfg.RecordSeries = true
+				cfg.Telem = tel
+				f, _ := runDeployment(t, cfg, 2500)
+				return f
+			}
+			off := run(nil)
+			tel := obsSet()
+			on := run(tel)
+			if len(off.BootLatencies()) == 0 || len(off.TimesToSteady()) == 0 {
+				t.Fatal("telemetry-off run recorded no boot samples")
+			}
+			for _, c := range []struct {
+				name    string
+				off, on []float64
+			}{
+				{"BootLatencies", off.BootLatencies(), on.BootLatencies()},
+				{"TimesToSteady", off.TimesToSteady(), on.TimesToSteady()},
+			} {
+				if !slices.Equal(c.off, c.on) {
+					t.Fatalf("%s differ with telemetry off:\n  off %v\n  on  %v", c.name, c.off, c.on)
+				}
+			}
+
+			if tel.Trace.Dropped() != 0 {
+				t.Fatalf("trace ring dropped %d events", tel.Trace.Dropped())
+			}
+			var warmups []float64
+			for _, ev := range tel.Trace.Events() {
+				if ev.Cat == "boot" && ev.Name == "warmup" {
+					warmups = append(warmups, ev.Dur)
+				}
+			}
+			if !slices.Equal(warmups, on.TimesToSteady()) {
+				t.Fatalf("warmup spans do not match times to steady one to one:\n  spans %v\n  tts   %v",
+					warmups, on.TimesToSteady())
+			}
+		})
 	}
 }

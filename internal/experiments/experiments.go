@@ -18,7 +18,6 @@ import (
 	"jumpstart/internal/parallel"
 	"jumpstart/internal/prof"
 	"jumpstart/internal/server"
-	"jumpstart/internal/telemetry"
 	"jumpstart/internal/workload"
 )
 
@@ -686,18 +685,6 @@ func (l *Lab) deploy(curves [2]cluster.WarmupCurve, seconds float64,
 	}
 	f.StartDeployment()
 	return f, f.Run(seconds), nil
-}
-
-// privateTelemetry returns a single-writer observation set for one
-// fleet run, so runs fanned out across workers cannot race, with a
-// trace ring roomy enough that a full deployment's boot spans survive
-// to validation without eviction.
-func privateTelemetry() *telemetry.Set {
-	return &telemetry.Set{
-		Metrics: telemetry.NewRegistry(),
-		Trace:   telemetry.NewTrace(1 << 17),
-		Cycles:  telemetry.NewCycleProfile(),
-	}
 }
 
 // FleetCurves measures the two single-server warmup curves (with and

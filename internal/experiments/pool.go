@@ -208,7 +208,6 @@ func (l *Lab) pool() (PoolResult, error) {
 		rg := poolCrossRegimes[i]
 		f, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
 			cfg.RecordSeries = true
-			cfg.Telem = privateTelemetry()
 			if rg.lazy {
 				cfg.WarmupMode = jumpstart.WarmupLazy
 				if rg.brownout {

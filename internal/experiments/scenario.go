@@ -65,10 +65,10 @@ type ScenarioResult struct {
 	Report   *obs.Report
 }
 
-// failoverStretch slows the Jump-Start curve for boots that absorb a
+// FailoverStretch slows the Jump-Start curve for boots that absorb a
 // failed-over region's load: the server divides its cycles over more
 // traffic, so every JIT milestone arrives ~1.5× later.
-const failoverStretch = 1.5
+const FailoverStretch = 1.5
 
 // smallGeometry derives the previous-generation hardware class from
 // the lab's configured geometry: half the cache sets and TLB reach,
@@ -219,9 +219,8 @@ func (l *Lab) scenarioFig() (ScenarioResult, error) {
 			cfg.JumpStartEnabled = js
 			// Absorbed boots warm under the failed-over region's load on
 			// top of their own: every milestone lands ~1.5× later.
-			cfg.CurveFailover = curves[0].Stretch(failoverStretch)
+			cfg.CurveFailover = curves[0].Stretch(FailoverStretch)
 			cfg.RecordSeries = true
-			cfg.Telem = privateTelemetry()
 			cfg.Scenario = eng
 		})
 		if err != nil {

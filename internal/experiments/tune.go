@@ -90,8 +90,6 @@ func (l *Lab) tuneEvaluate(k autotune.Knobs, kind scenario.Kind, budget float64,
 		// simulation single-threaded.
 		cfg.Workers = 1
 		cfg.RecordSeries = true
-		// Boot spans feed the time-to-steady series.
-		cfg.Telem = privateTelemetry()
 		cfg.PushEvery = k.PushEvery
 		cfg.RemapPolicy = k.CompatPolicy
 		if k.CompatPolicy == jumpstart.RemapTolerant {
@@ -103,7 +101,7 @@ func (l *Lab) tuneEvaluate(k autotune.Knobs, kind scenario.Kind, budget float64,
 			cfg.CurveLazy = lazyCurve
 		}
 		cfg.Scenario = eng
-		cfg.CurveFailover = curves[0].Stretch(failoverStretch)
+		cfg.CurveFailover = curves[0].Stretch(FailoverStretch)
 	})
 	if err != nil {
 		return autotune.Measurement{}, err

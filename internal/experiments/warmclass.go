@@ -7,6 +7,7 @@ import (
 	"jumpstart/internal/cluster"
 	"jumpstart/internal/obs"
 	"jumpstart/internal/parallel"
+	"jumpstart/internal/telemetry"
 )
 
 // warmclassRegimes are the fleet configurations the warmclass figure
@@ -111,7 +112,9 @@ func (l *Lab) warmclass() (WarmclassResult, error) {
 	// The three regime deployments are independent deterministic runs:
 	// fan them out and merge in regime order.
 	runs, err := parallel.MapErr(l.Cfg.Workers, len(warmclassRegimes), func(i int) (warmclassRun, error) {
-		tel := privateTelemetry()
+		// A private trace per run (runs fanned out across workers must
+		// not race), roomy enough to keep every boot span to validation.
+		tel := &telemetry.Set{Trace: telemetry.NewTrace(telemetry.SpanTraceCapacity)}
 		f, ticks, err := l.deploy(curves, 6*l.Cfg.Horizon, func(cfg *cluster.Config) {
 			cfg.RecordSeries = true
 			cfg.Telem = tel

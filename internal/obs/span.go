@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"jumpstart/internal/telemetry"
@@ -82,24 +81,6 @@ type SpanCheck struct {
 
 // OK reports whether no invariant was violated.
 func (c SpanCheck) OK() bool { return len(c.Violations) == 0 }
-
-// ExportSpans validates tel's recorded span trees, prints the one-line
-// "# spans:" summary to w and writes the trees to path (Chrome
-// trace_event when it ends in .json, JSONL otherwise). No-op when path
-// is empty.
-func ExportSpans(tel *telemetry.Set, path string, w io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	check := ValidateSpans(tel.Trace.Events())
-	status := "OK"
-	if !check.OK() {
-		status = fmt.Sprintf("%d VIOLATIONS", len(check.Violations))
-	}
-	fmt.Fprintf(w, "# spans: %d spans, %d instants, %d roots, %d orphans — %s\n",
-		check.Spans, check.Instants, check.Roots, check.Orphans, status)
-	return tel.ExportSpans(path)
-}
 
 // ValidateSpans rebuilds the causal forest and checks the
 // duration-conservation invariant, the span-tree analogue of the

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -284,44 +282,5 @@ func TestChromeTraceInstantAndNil(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) || !strings.Contains(buf.String(), `"traceEvents":[]`) {
 		t.Fatalf("nil chrome trace = %s", buf.String())
-	}
-}
-
-func TestExportSpansFormatByExtension(t *testing.T) {
-	dir := t.TempDir()
-	s := NewSet()
-	id := s.BeginSpan()
-	s.EndSpan(id, 0, 0, 1, "boot", "boot")
-
-	jsonl := filepath.Join(dir, "spans.jsonl")
-	if err := s.ExportSpans(jsonl); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), `{"seq":`) {
-		t.Fatalf("jsonl export = %s", data)
-	}
-
-	chrome := filepath.Join(dir, "spans.json")
-	if err := s.ExportSpans(chrome); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(chrome)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), `{"traceEvents":[`) || !json.Valid(data) {
-		t.Fatalf("chrome export = %s", data)
-	}
-
-	var nilSet *Set
-	if err := nilSet.ExportSpans(filepath.Join(dir, "nope.json")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ExportSpans(""); err != nil {
-		t.Fatal(err)
 	}
 }

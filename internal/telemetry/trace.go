@@ -9,6 +9,12 @@ import (
 // non-positive capacity.
 const DefaultTraceCapacity = 8192
 
+// SpanTraceCapacity is the ring size for runs whose span trees are
+// exported: a full deployment's boot spans, or a long server run's
+// phase spans with their retry children, must not evict each other's
+// parents.
+const SpanTraceCapacity = 1 << 17
+
 // Attr is one ordered key/value attribute of a trace event. Attribute
 // order is preserved in the JSONL export, keeping output deterministic
 // (Go map iteration would not be).
