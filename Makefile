@@ -44,10 +44,11 @@ alloccheck:
 		./internal/jumpstart/ ./internal/object/ ./internal/layout/ \
 		./internal/cluster/ ./internal/telemetry/
 
-# CI gate: vet plus the full suite under the race detector. The
-# parallel-vs-sequential determinism tests run here, so this also
+# CI gate: gofmt, vet, and the full suite under the race detector.
+# The parallel-vs-sequential determinism tests run here, so this also
 # proves byte-identical output at every worker count.
 verify:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 

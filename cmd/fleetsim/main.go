@@ -177,6 +177,10 @@ func run(args []string, stdout io.Writer) error {
 		{set["inter-latency"] && *replicas == 0, "-inter-latency", "requires -replicas > 0"},
 		{set["pool-backfill"] && *poolSize == 0, "-pool-backfill", "requires -pool-size > 0"},
 		{set["geometry-stretch"] && *geometry != "mixed", "-geometry-stretch", "requires -geometry mixed"},
+		// The first deployment carries no packages, so there is
+		// nothing to remap until a push.
+		{set["remap-policy"] && *pushEvery == 0, "-remap-policy", "requires -push-every > 0"},
+		{*churn > 0 && *pushEvery == 0, "-churn", "requires -push-every > 0"},
 	} {
 		if c.bad {
 			return usageErr("%s %s", c.name, c.msg)

@@ -330,6 +330,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-inter-latency", "0.5"},
 		{"-pool-backfill", "0.05"},
 		{"-geometry-stretch", "2"},
+		{"-remap-policy", "remap-tolerant"},
+		{"-churn", "0.1"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

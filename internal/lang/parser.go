@@ -574,21 +574,10 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
-	case TokInt:
-		p.next()
-		return &IntLit{Val: t.Int, Pos: t.Pos}, nil
-	case TokFloat:
-		p.next()
-		return &FloatLit{Val: t.Flt, Pos: t.Pos}, nil
-	case TokString:
-		p.next()
-		return &StrLit{Val: t.Text, Pos: t.Pos}, nil
-	case TokTrue, TokFalse:
-		p.next()
-		return &BoolLit{Val: t.Kind == TokTrue, Pos: t.Pos}, nil
-	case TokNull:
-		p.next()
-		return &NullLit{Pos: t.Pos}, nil
+	case TokInt, TokFloat, TokString, TokTrue, TokFalse, TokNull:
+		// Not TokMinus: in an expression '-' is the unary operator,
+		// which parseUnary handles.
+		return p.parseLiteral()
 	case TokThis:
 		p.next()
 		return &ThisExpr{Pos: t.Pos}, nil

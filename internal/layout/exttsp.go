@@ -58,21 +58,26 @@ func Score(g *Graph, order []int) float64 {
 		if e.Src == e.Dst || e.Weight == 0 {
 			continue
 		}
-		srcEnd := addr[e.Src] + g.Blocks[e.Src].Size
-		dst := addr[e.Dst]
-		w := float64(e.Weight)
-		switch {
-		case srcEnd == dst:
-			total += fallthroughFactor * w
-		case srcEnd < dst && dst-srcEnd < forwardDistance:
-			d := float64(dst - srcEnd)
-			total += forwardFactor * w * (1 - d/forwardDistance)
-		case srcEnd > dst && srcEnd-dst < backwardDistance:
-			d := float64(srcEnd - dst)
-			total += backwardFactor * w * (1 - d/backwardDistance)
-		}
+		total += edgeScore(addr[e.Src]+g.Blocks[e.Src].Size, addr[e.Dst], e.Weight)
 	}
 	return total
+}
+
+// edgeScore is the Ext-TSP score of a branch of the given weight from
+// a block ending at srcEnd to one starting at dst: its full weight on
+// a fall-through, a distance-discounted fraction on a short forward or
+// backward jump, 0 otherwise.
+func edgeScore(srcEnd, dst int, weight uint64) float64 {
+	w := float64(weight)
+	switch {
+	case srcEnd == dst:
+		return fallthroughFactor * w
+	case srcEnd < dst && dst-srcEnd < forwardDistance:
+		return forwardFactor * w * (1 - float64(dst-srcEnd)/forwardDistance)
+	case srcEnd > dst && srcEnd-dst < backwardDistance:
+		return backwardFactor * w * (1 - float64(srcEnd-dst)/backwardDistance)
+	}
+	return 0
 }
 
 // ExtTSP orders the graph's blocks to (approximately) maximize Score.
@@ -131,17 +136,7 @@ func ExtTSP(g *Graph) []int {
 			if inPair[e.Src] != serial || inPair[e.Dst] != serial {
 				continue
 			}
-			srcEnd := addr[e.Src] + g.Blocks[e.Src].Size
-			dst := addr[e.Dst]
-			w := float64(e.Weight)
-			switch {
-			case srcEnd == dst:
-				total += fallthroughFactor * w
-			case srcEnd < dst && dst-srcEnd < forwardDistance:
-				total += forwardFactor * w * (1 - float64(dst-srcEnd)/forwardDistance)
-			case srcEnd > dst && srcEnd-dst < backwardDistance:
-				total += backwardFactor * w * (1 - float64(srcEnd-dst)/backwardDistance)
-			}
+			total += edgeScore(addr[e.Src]+g.Blocks[e.Src].Size, addr[e.Dst], e.Weight)
 		}
 		return total
 	}

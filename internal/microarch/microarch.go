@@ -55,13 +55,13 @@ func DefaultConfig() Config {
 }
 
 // Validate reports a descriptive error when the geometry would break
-// the indexing arithmetic: newCache and newTLB extract set and page
-// indexes with shift-and-mask (setMask = sets-1, lineBits =
-// log2(lineSize)), which silently mis-indexes — aliasing lines into a
-// fraction of the sets — unless sets, line size and page size are
-// powers of two. Callers that can surface an error (server.New does)
-// should Validate; New itself rounds offenders up via Normalize so a
-// hierarchy can never be built mis-indexing.
+// the indexing arithmetic: newCache extracts set and page indexes
+// with shift-and-mask (setMask = sets-1, lineBits = log2(lineSize)),
+// which silently mis-indexes — aliasing lines into a fraction of the
+// sets — unless sets, line size and page size are powers of two.
+// Callers that can surface an error (server.New does) should Validate;
+// New itself rounds offenders up via Normalize so a hierarchy can
+// never be built mis-indexing.
 func (c Config) Validate() error {
 	var bad []string
 	pow2 := func(name string, v int) {
@@ -194,7 +194,8 @@ func (s Stats) BranchMissRate() float64 { return rate(s.BranchMiss, s.Branches) 
 // cache is a set-associative cache with LRU replacement. All ways of
 // all sets live in one flat slice (set s occupies lines[s*ways :
 // (s+1)*ways]) so an access touches a single allocation and the index
-// arithmetic stays branch-free.
+// arithmetic stays branch-free. A TLB is the one-set case: a
+// fully-associative LRU over pages (lineSize = page size).
 //
 // mru remembers the line the previous access touched. A tag lives in
 // at most one way of its set, and nothing changes between two
@@ -265,45 +266,6 @@ func (c *cache) access(addr uint64) bool {
 	return false
 }
 
-// tlb is a fully-associative LRU TLB. mru is the entry the previous
-// access touched, exact for the same reason as cache.mru.
-type tlb struct {
-	entries  []line
-	pageBits uint
-	tick     uint64
-	mru      *line
-}
-
-func newTLB(entries, pageSize int) *tlb {
-	return &tlb{entries: make([]line, entries), pageBits: log2(pageSize)}
-}
-
-func (t *tlb) access(addr uint64) bool {
-	t.tick++
-	tag := addr >> t.pageBits
-	if m := t.mru; m != nil && m.tag == tag {
-		m.used = t.tick
-		return true
-	}
-	victim := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.ok && e.tag == tag {
-			e.used = t.tick
-			t.mru = e
-			return true
-		}
-		if !e.ok {
-			victim = i
-		} else if t.entries[victim].ok && e.used < t.entries[victim].used {
-			victim = i
-		}
-	}
-	t.entries[victim] = line{tag: tag, used: t.tick, ok: true}
-	t.mru = &t.entries[victim]
-	return false
-}
-
 // predictor is a gshare branch predictor: 2-bit saturating counters
 // indexed by pc xor global history.
 type predictor struct {
@@ -344,8 +306,8 @@ type Hierarchy struct {
 	l1i  *cache
 	l1d  *cache
 	llc  *cache
-	itlb *tlb
-	dtlb *tlb
+	itlb *cache
+	dtlb *cache
 	bp   *predictor
 
 	stats Stats
@@ -363,8 +325,8 @@ func New(cfg Config) *Hierarchy {
 		l1i:  newCache(cfg.L1ISets, cfg.L1IWays, cfg.LineSize),
 		l1d:  newCache(cfg.L1DSets, cfg.L1DWays, cfg.LineSize),
 		llc:  newCache(cfg.LLCSets, cfg.LLCWays, cfg.LineSize),
-		itlb: newTLB(cfg.ITLBEntries, cfg.PageSize),
-		dtlb: newTLB(cfg.DTLBEntries, cfg.PageSize),
+		itlb: newCache(1, cfg.ITLBEntries, cfg.PageSize),
+		dtlb: newCache(1, cfg.DTLBEntries, cfg.PageSize),
 		bp:   newPredictor(cfg.BPTableBits),
 	}
 }

@@ -9,7 +9,8 @@ import (
 // refCache is the full-scan set-associative LRU cache that cache, with
 // its MRU fast path, must match access for access: every access scans
 // its set. It is the reference TestHierarchyMRUMatchesFullScan and
-// FuzzHierarchyMRU compare against.
+// FuzzHierarchyMRU compare against; with one set it is the reference
+// TLB too.
 type refCache struct {
 	lines    []line
 	ways     int
@@ -43,57 +44,27 @@ func (c *refCache) access(addr uint64) bool {
 	return false
 }
 
-// refTLB is the full-scan fully-associative LRU TLB tlb must match.
-type refTLB struct {
-	entries  []line
-	pageBits uint
-	tick     uint64
-}
-
-func (t *refTLB) access(addr uint64) bool {
-	t.tick++
-	tag := addr >> t.pageBits
-	victim := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.ok && e.tag == tag {
-			e.used = t.tick
-			return true
-		}
-		if !e.ok {
-			victim = i
-		} else if t.entries[victim].ok && e.used < t.entries[victim].used {
-			victim = i
-		}
-	}
-	t.entries[victim] = line{tag: tag, used: t.tick, ok: true}
-	return false
-}
-
 // refHierarchy is Hierarchy's Fetch and Data over the reference
 // structures, counting into the same Stats.
 type refHierarchy struct {
 	lineSize      uint64
 	l1i, l1d, llc *refCache
-	itlb, dtlb    *refTLB
+	itlb, dtlb    *refCache
 	stats         Stats
 }
 
 func newRefHierarchy(cfg Config) *refHierarchy {
-	c := func(sets, ways int) *refCache {
+	c := func(sets, ways, lineSize int) *refCache {
 		return &refCache{lines: make([]line, sets*ways), ways: ways,
-			lineBits: log2(cfg.LineSize), setMask: uint64(sets - 1)}
-	}
-	t := func(n int) *refTLB {
-		return &refTLB{entries: make([]line, n), pageBits: log2(cfg.PageSize)}
+			lineBits: log2(lineSize), setMask: uint64(sets - 1)}
 	}
 	return &refHierarchy{
 		lineSize: uint64(cfg.LineSize),
-		l1i:      c(cfg.L1ISets, cfg.L1IWays),
-		l1d:      c(cfg.L1DSets, cfg.L1DWays),
-		llc:      c(cfg.LLCSets, cfg.LLCWays),
-		itlb:     t(cfg.ITLBEntries),
-		dtlb:     t(cfg.DTLBEntries),
+		l1i:      c(cfg.L1ISets, cfg.L1IWays, cfg.LineSize),
+		l1d:      c(cfg.L1DSets, cfg.L1DWays, cfg.LineSize),
+		llc:      c(cfg.LLCSets, cfg.LLCWays, cfg.LineSize),
+		itlb:     c(1, cfg.ITLBEntries, cfg.PageSize),
+		dtlb:     c(1, cfg.DTLBEntries, cfg.PageSize),
 	}
 }
 
@@ -185,8 +156,8 @@ func checkMRU(t *testing.T, cfg Config, ops []mruOp) {
 		{"L1I", h.l1i.lines, ref.l1i.lines},
 		{"L1D", h.l1d.lines, ref.l1d.lines},
 		{"LLC", h.llc.lines, ref.llc.lines},
-		{"ITLB", h.itlb.entries, ref.itlb.entries},
-		{"DTLB", h.dtlb.entries, ref.dtlb.entries},
+		{"ITLB", h.itlb.lines, ref.itlb.lines},
+		{"DTLB", h.dtlb.lines, ref.dtlb.lines},
 	} {
 		if !slices.Equal(p.got, p.want) {
 			t.Fatalf("%s contents diverged:\n%+v\nreference %+v", p.name, p.got, p.want)

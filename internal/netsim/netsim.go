@@ -13,9 +13,11 @@
 // at any worker count and in any execution order.
 package netsim
 
-// Stream is a splitmix64 draw stream, the same generator the workload
-// layer uses. Seed it with workload.Fork so transport fetches get
-// streams that are independent of the simulation's own PRNGs.
+// Stream is a splitmix64 draw stream, the repository's one
+// implementation of the generator: workload generation and traffic,
+// workload.Fork, the release mutator and the fabric's samples all draw
+// from it. Seed it with workload.Fork so transport fetches get streams
+// that are independent of the simulation's own PRNGs.
 type Stream struct{ state uint64 }
 
 // NewStream returns a stream over the given seed.
@@ -28,6 +30,15 @@ func (s *Stream) Uint64() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Intn returns a uniform int in [0, n), or 0 without a draw when
+// n <= 0.
+func (s *Stream) Intn(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return int(s.Uint64() % uint64(n))
 }
 
 // Float returns a uniform float64 in [0, 1).

@@ -1,25 +1,26 @@
-package netsim
+package netsim_test
 
 import (
 	"testing"
 
+	"jumpstart/internal/netsim"
 	"jumpstart/internal/workload"
 )
 
 // TestSampleDeterminism pins the fabric contract: the same seed gives
 // the same verdict sequence, draw for draw.
 func TestSampleDeterminism(t *testing.T) {
-	cfg := Config{
+	cfg := netsim.Config{
 		BaseLatency:   0.05,
 		LatencyJitter: 0.02,
 		DropRate:      0.3,
 		ErrorRate:     0.2,
-		Faults:        []Fault{Brownout(10, 20, 0.5, 1)},
+		Faults:        []netsim.Fault{netsim.Brownout(10, 20, 0.5, 1)},
 	}
-	run := func() []Verdict {
-		f := NewFabric(cfg)
-		r := NewStream(workload.Fork(7, 0))
-		out := make([]Verdict, 0, 200)
+	run := func() []netsim.Verdict {
+		f := netsim.NewFabric(cfg)
+		r := netsim.NewStream(workload.Fork(7, 0))
+		out := make([]netsim.Verdict, 0, 200)
 		for i := 0; i < 200; i++ {
 			out = append(out, f.Sample("store", float64(i)*0.2, r))
 		}
@@ -37,8 +38,8 @@ func TestSampleDeterminism(t *testing.T) {
 // faults) must deliver every RPC instantly — this is what makes the
 // transport perf-neutral when the network is healthy.
 func TestHealthyFabricIsFreeAndLossless(t *testing.T) {
-	f := NewFabric(Config{})
-	r := NewStream(1)
+	f := netsim.NewFabric(netsim.Config{})
+	r := netsim.NewStream(1)
 	for i := 0; i < 100; i++ {
 		v := f.Sample("store", float64(i), r)
 		if v.Drop || v.Err || v.Latency != 0 {
@@ -50,11 +51,11 @@ func TestHealthyFabricIsFreeAndLossless(t *testing.T) {
 // TestBrownoutWindow: inside the window the drop rate applies; outside
 // it the base (zero) rates are back in force.
 func TestBrownoutWindow(t *testing.T) {
-	f := NewFabric(Config{
+	f := netsim.NewFabric(netsim.Config{
 		BaseLatency: 0.1,
-		Faults:      []Fault{Brownout(100, 200, 1.0, 2.5)},
+		Faults:      []netsim.Fault{netsim.Brownout(100, 200, 1.0, 2.5)},
 	})
-	r := NewStream(workload.Fork(3, 1))
+	r := netsim.NewStream(workload.Fork(3, 1))
 	for _, tm := range []float64{0, 99.9, 200, 500} {
 		if v := f.Sample("store", tm, r); v.Drop || v.Err {
 			t.Fatalf("t=%v outside window dropped: %+v", tm, v)
@@ -74,8 +75,8 @@ func TestBrownoutWindow(t *testing.T) {
 // TestPartitionAndLinkScoping: a partition on one link loses all its
 // traffic and leaves other links untouched.
 func TestPartitionAndLinkScoping(t *testing.T) {
-	f := NewFabric(Config{Faults: []Fault{Partition(0, 100, "region0")}})
-	r := NewStream(workload.Fork(5, 2))
+	f := netsim.NewFabric(netsim.Config{Faults: []netsim.Fault{netsim.Partition(0, 100, "region0")}})
+	r := netsim.NewStream(workload.Fork(5, 2))
 	for i := 0; i < 50; i++ {
 		if v := f.Sample("region0", 50, r); !v.Drop {
 			t.Fatalf("partitioned link delivered: %+v", v)
@@ -90,8 +91,8 @@ func TestPartitionAndLinkScoping(t *testing.T) {
 // the prefix and nothing else; an exact Link match takes precedence
 // over LinkPrefix when both are set.
 func TestLinkPrefixScoping(t *testing.T) {
-	f := NewFabric(Config{Faults: []Fault{PartitionPrefix(0, 100, "inter:")}})
-	r := NewStream(workload.Fork(13, 0))
+	f := netsim.NewFabric(netsim.Config{Faults: []netsim.Fault{netsim.PartitionPrefix(0, 100, "inter:")}})
+	r := netsim.NewStream(workload.Fork(13, 0))
 	for i := 0; i < 50; i++ {
 		for _, link := range []string{"inter:r0-r1", "inter:r1-r0", "inter:"} {
 			if v := f.Sample(link, 50, r); !v.Drop {
@@ -109,7 +110,7 @@ func TestLinkPrefixScoping(t *testing.T) {
 		t.Fatalf("expired prefix fault dropped: %+v", v)
 	}
 	// Link wins over LinkPrefix: the exact label scopes the fault.
-	g := NewFabric(Config{Faults: []Fault{{
+	g := netsim.NewFabric(netsim.Config{Faults: []netsim.Fault{{
 		From: 0, To: 100, Link: "inter:r0-r1", LinkPrefix: "intra:", Partition: true,
 	}}})
 	if v := g.Sample("intra:r0/n0", 50, r); v.Drop {
@@ -124,11 +125,11 @@ func TestLinkPrefixScoping(t *testing.T) {
 // prefixed links, healthy elsewhere — the lossy-long-haul shape the
 // multi-region store propagates over.
 func TestBrownoutPrefix(t *testing.T) {
-	f := NewFabric(Config{
+	f := netsim.NewFabric(netsim.Config{
 		BaseLatency: 0.1,
-		Faults:      []Fault{BrownoutPrefix(0, 100, 1.0, 2.0, "inter:")},
+		Faults:      []netsim.Fault{netsim.BrownoutPrefix(0, 100, 1.0, 2.0, "inter:")},
 	})
-	r := NewStream(workload.Fork(17, 0))
+	r := netsim.NewStream(workload.Fork(17, 0))
 	for i := 0; i < 30; i++ {
 		if v := f.Sample("inter:r0-r1", 50, r); !v.Drop {
 			t.Fatalf("browned-out long-haul delivered: %+v", v)
@@ -143,15 +144,15 @@ func TestBrownoutPrefix(t *testing.T) {
 // TestLatencyFactorAndClamping covers the multiplicative latency knob
 // and the rate clamp when stacked faults exceed 1.
 func TestLatencyFactorAndClamping(t *testing.T) {
-	f := NewFabric(Config{
+	f := netsim.NewFabric(netsim.Config{
 		BaseLatency: 0.2,
 		DropRate:    0.6,
-		Faults: []Fault{
+		Faults: []netsim.Fault{
 			{From: 0, To: 10, LatencyFactor: 3},
 			{From: 0, To: 10, DropRate: 0.9}, // 0.6+0.9 clamps to 1
 		},
 	})
-	r := NewStream(workload.Fork(9, 0))
+	r := netsim.NewStream(workload.Fork(9, 0))
 	for i := 0; i < 30; i++ {
 		v := f.Sample("x", 5, r)
 		if !v.Drop {
@@ -166,11 +167,11 @@ func TestLatencyFactorAndClamping(t *testing.T) {
 // TestSampleDrawCountConstant: every Sample consumes exactly three
 // draws, so verdicts never shift the stream position.
 func TestSampleDrawCountConstant(t *testing.T) {
-	cfg := Config{DropRate: 1} // every RPC drops
-	fDrop := NewFabric(cfg)
-	fOK := NewFabric(Config{})
-	r1 := NewStream(workload.Fork(11, 0))
-	r2 := NewStream(workload.Fork(11, 0))
+	cfg := netsim.Config{DropRate: 1} // every RPC drops
+	fDrop := netsim.NewFabric(cfg)
+	fOK := netsim.NewFabric(netsim.Config{})
+	r1 := netsim.NewStream(workload.Fork(11, 0))
+	r2 := netsim.NewStream(workload.Fork(11, 0))
 	for i := 0; i < 10; i++ {
 		fDrop.Sample("x", 0, r1)
 		fOK.Sample("x", 0, r2)
@@ -181,7 +182,7 @@ func TestSampleDrawCountConstant(t *testing.T) {
 }
 
 func TestVirtualClock(t *testing.T) {
-	c := NewVirtualClock(10)
+	c := netsim.NewVirtualClock(10)
 	c.Sleep(2.5)
 	c.Sleep(-1) // no-op
 	c.Sleep(0)  // no-op

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"jumpstart/internal/lang"
+	"jumpstart/internal/netsim"
 )
 
 // MutationStats reports what one revision changed relative to its
@@ -28,7 +29,7 @@ type MutationStats struct {
 // Files are visited in unit order and functions in declaration order,
 // so a given (seed, revision) pair always produces the same edit.
 type mutator struct {
-	r     *rng
+	r     *netsim.Stream
 	files []*lang.File
 	rev   int
 
@@ -51,7 +52,7 @@ func mutableHelper(name string) bool {
 	return strings.HasPrefix(name, "h") || strings.HasPrefix(name, "nf")
 }
 
-func newMutator(files []*lang.File, r *rng, rev int) *mutator {
+func newMutator(files []*lang.File, r *netsim.Stream, rev int) *mutator {
 	m := &mutator{
 		r:       r,
 		files:   files,
@@ -91,11 +92,11 @@ func (m *mutator) apply(rate float64) {
 	}
 
 	for i := 0; i < nEdit; i++ {
-		name := helpers[m.r.intn(len(helpers))]
+		name := helpers[m.r.Intn(len(helpers))]
 		// Three out of four body edits are constant tweaks (CFG
 		// preserved → fuzzy-remappable); the rest insert a statement
 		// (CFG changed → the profile must drop).
-		if m.r.intn(4) == 0 {
+		if m.r.Intn(4) == 0 {
 			m.insertStmt(m.free[name])
 		} else {
 			m.tweakConst(m.free[name])
@@ -135,10 +136,10 @@ func (m *mutator) tweakConst(fn *lang.FuncDecl) {
 	if len(lits) == 0 {
 		return
 	}
-	lit := lits[m.r.intn(len(lits))]
+	lit := lits[m.r.Intn(len(lits))]
 	// Keep small loop bounds and modulus bases positive and nonzero so
 	// the mutated site still terminates and never divides by zero.
-	lit.Val += int64(1 + m.r.intn(7))
+	lit.Val += int64(1 + m.r.Intn(7))
 	m.stats.ConstTweaks++
 	m.stats.TouchedHelper++
 }
@@ -152,8 +153,8 @@ func (m *mutator) insertStmt(fn *lang.FuncDecl) {
 	}
 	p := fn.Params[0]
 	// "if (p % K == 0) { p = p + C; }" adds a branch — a genuinely new CFG.
-	k := int64(2 + m.r.intn(11))
-	c := int64(1 + m.r.intn(9))
+	k := int64(2 + m.r.Intn(11))
+	c := int64(1 + m.r.Intn(9))
 	stmt := &lang.IfStmt{
 		Cond: &lang.Binary{Op: "==",
 			L: &lang.Binary{Op: "%", L: &lang.Ident{Name: p}, R: &lang.IntLit{Val: k}},
@@ -174,7 +175,7 @@ func (m *mutator) renameFunc(helpers []string, i int) {
 	if len(helpers) == 0 {
 		return
 	}
-	name := helpers[(m.r.intn(len(helpers))+i)%len(helpers)]
+	name := helpers[(m.r.Intn(len(helpers))+i)%len(helpers)]
 	if _, already := m.renames[name]; already {
 		return
 	}
@@ -190,13 +191,13 @@ func (m *mutator) renameFunc(helpers []string, i int) {
 // called by anything yet — mirroring how new code lands dark before
 // traffic reaches it — so it adds bytecode without disturbing profiles.
 func (m *mutator) addFunc(i int) {
-	f := m.files[m.r.intn(len(m.files))]
+	f := m.files[m.r.Intn(len(m.files))]
 	name := fmt.Sprintf("nf%d_%d", m.rev, i)
 	if _, exists := m.free[name]; exists {
 		return
 	}
-	loop := int64(3 + m.r.intn(9))
-	c := int64(2 + m.r.intn(7))
+	loop := int64(3 + m.r.Intn(9))
+	c := int64(2 + m.r.Intn(7))
 	fn := &lang.FuncDecl{
 		Name:   name,
 		Params: []string{"a"},
@@ -259,7 +260,7 @@ func (m *mutator) reorderProps(n int) {
 			if len(c.Props) < 2 {
 				continue
 			}
-			rot := 1 + m.r.intn(len(c.Props)-1)
+			rot := 1 + m.r.Intn(len(c.Props)-1)
 			c.Props = append(c.Props[rot:], c.Props[:rot]...)
 			done++
 			m.stats.PropReorders++

@@ -21,29 +21,9 @@ import (
 	"jumpstart/internal/bytecode"
 	"jumpstart/internal/hackc"
 	"jumpstart/internal/lang"
+	"jumpstart/internal/netsim"
 	"jumpstart/internal/workload"
 )
-
-// rng is the same splitmix64 generator the workload package uses; the
-// mutator needs its own copy because workload's is unexported.
-type rng struct{ state uint64 }
-
-func newRNG(seed uint64) *rng { return &rng{state: seed + 0x9e3779b97f4a7c15} }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
 
 // ChurnConfig controls the source mutator.
 type ChurnConfig struct {
@@ -126,7 +106,10 @@ func (c *Chain) Next() (*Revision, error) {
 		}
 		files[i] = f
 	}
-	m := newMutator(files, newRNG(workload.Fork(c.cfg.Seed, uint64(idx))), idx)
+	// Offset by splitmix64's increment, as workload seeds its own
+	// streams; TestChainGoldenChecksums pins the resulting draws.
+	r := netsim.NewStream(workload.Fork(c.cfg.Seed, uint64(idx)) + 0x9e3779b97f4a7c15)
+	m := newMutator(files, r, idx)
 	m.apply(c.cfg.Rate)
 
 	sources := make(map[string]string, len(files))

@@ -58,24 +58,8 @@ func (tr *Trace) WriteChromeTrace(w io.Writer) error {
 			b = strconv.AppendUint(b, ev.Parent, 10)
 		}
 		for j := range ev.Attrs {
-			a := &ev.Attrs[j]
 			b = append(b, ',')
-			b = strconv.AppendQuote(b, a.Key)
-			b = append(b, ':')
-			switch a.kind {
-			case attrString:
-				b = strconv.AppendQuote(b, a.str)
-			case attrInt:
-				b = strconv.AppendInt(b, int64(a.num), 10)
-			case attrFloat:
-				b = appendJSONFloat(b, a.num)
-			case attrBool:
-				if a.num != 0 {
-					b = append(b, "true"...)
-				} else {
-					b = append(b, "false"...)
-				}
-			}
+			b = appendAttr(b, &ev.Attrs[j])
 		}
 		b = append(b, `}}`...)
 		if _, err := w.Write(b); err != nil {

@@ -218,26 +218,10 @@ func (tr *Trace) WriteJSONL(w io.Writer) error {
 		if len(ev.Attrs) > 0 {
 			b = append(b, `,"attrs":{`...)
 			for j := range ev.Attrs {
-				a := &ev.Attrs[j]
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = strconv.AppendQuote(b, a.Key)
-				b = append(b, ':')
-				switch a.kind {
-				case attrString:
-					b = strconv.AppendQuote(b, a.str)
-				case attrInt:
-					b = strconv.AppendInt(b, int64(a.num), 10)
-				case attrFloat:
-					b = appendJSONFloat(b, a.num)
-				case attrBool:
-					if a.num != 0 {
-						b = append(b, "true"...)
-					} else {
-						b = append(b, "false"...)
-					}
-				}
+				b = appendAttr(b, &ev.Attrs[j])
 			}
 			b = append(b, '}')
 		}
@@ -247,4 +231,23 @@ func (tr *Trace) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// appendAttr appends a as one JSON object member, "key":value. Both
+// trace writers encode attributes through it; each keeps its own
+// separators.
+func appendAttr(b []byte, a *Attr) []byte {
+	b = strconv.AppendQuote(b, a.Key)
+	b = append(b, ':')
+	switch a.kind {
+	case attrString:
+		b = strconv.AppendQuote(b, a.str)
+	case attrInt:
+		b = strconv.AppendInt(b, int64(a.num), 10)
+	case attrFloat:
+		b = appendJSONFloat(b, a.num)
+	case attrBool:
+		b = strconv.AppendBool(b, a.num != 0)
+	}
+	return b
 }

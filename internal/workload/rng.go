@@ -1,19 +1,15 @@
 package workload
 
-// rng is a splitmix64 PRNG: tiny, fast and deterministic across
-// platforms. All workload generation and traffic draws flow through it
-// so every experiment is reproducible from a seed.
-type rng struct{ state uint64 }
+import "jumpstart/internal/netsim"
 
-func newRNG(seed uint64) *rng { return &rng{state: seed + 0x9e3779b97f4a7c15} }
+// golden is splitmix64's state increment (2^64 / φ).
+const golden = 0x9e3779b97f4a7c15
 
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// newRNG returns the splitmix64 stream seeded with seed: tiny, fast
+// and deterministic across platforms. All workload generation and
+// traffic draws flow through one so every experiment is reproducible
+// from a seed.
+func newRNG(seed uint64) *netsim.Stream { return netsim.NewStream(seed + golden) }
 
 // Fork derives an independent splitmix64 seed for one task of a
 // parallel fan-out. Seeding newRNG with Fork(seed, i) gives task i its
@@ -24,31 +20,15 @@ func (r *rng) next() uint64 {
 // any worker count and in any execution order. This is what lets
 // internal/parallel fan work out without sharing a mutable rng.
 func Fork(seed, task uint64) uint64 {
-	z := seed + (task+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a uniform int in [0, n).
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
+	return netsim.NewStream(seed + task*golden).Uint64()
 }
 
 // rangeInt returns a uniform int in [lo, hi].
-func (r *rng) rangeInt(lo, hi int) int {
+func rangeInt(r *netsim.Stream, lo, hi int) int {
 	if hi <= lo {
 		return lo
 	}
-	return lo + r.intn(hi-lo+1)
-}
-
-// float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
+	return lo + r.Intn(hi-lo+1)
 }
 
 // pick chooses an index according to the given cumulative weights
@@ -56,12 +36,12 @@ func (r *rng) float() float64 {
 // consuming a draw; a non-positive total (all-zero weights) falls back
 // to a uniform pick — both previously misbehaved (panic / always the
 // last index).
-func pickWeighted(r *rng, cum []float64) int {
+func pickWeighted(r *netsim.Stream, cum []float64) int {
 	if len(cum) == 0 {
 		return 0
 	}
 	total := cum[len(cum)-1]
-	f := r.float()
+	f := r.Float()
 	if total <= 0 {
 		return int(f * float64(len(cum)))
 	}

@@ -27,7 +27,7 @@ func TestForkedStreamsDiverge(t *testing.T) {
 	b := newRNG(Fork(1, 1))
 	same := 0
 	for i := 0; i < 16; i++ {
-		x, y, z := base.next(), a.next(), b.next()
+		x, y, z := base.Uint64(), a.Uint64(), b.Uint64()
 		if x == y || x == z || y == z {
 			same++
 		}
@@ -76,7 +76,7 @@ func TestPickWeighted(t *testing.T) {
 func TestPickWeightedEmptyConsumesNoDraw(t *testing.T) {
 	a, b := newRNG(9), newRNG(9)
 	pickWeighted(a, nil)
-	if a.next() != b.next() {
+	if a.Uint64() != b.Uint64() {
 		t.Fatal("empty pick consumed a draw")
 	}
 }

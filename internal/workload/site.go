@@ -16,6 +16,7 @@ import (
 
 	"jumpstart/internal/bytecode"
 	"jumpstart/internal/hackc"
+	"jumpstart/internal/netsim"
 )
 
 // SiteConfig sizes the generated website.
@@ -92,7 +93,7 @@ func GenerateSite(cfg SiteConfig) (*Site, error) {
 
 type siteGen struct {
 	cfg       SiteConfig
-	r         *rng
+	r         *netsim.Stream
 	sources   map[string]string
 	unitNames []string
 	endpoints []string
@@ -142,14 +143,14 @@ func (g *siteGen) generate() {
 // overriding val() (the polymorphic dispatch target).
 func (g *siteGen) genClassFamily(b *strings.Builder, u, k int) {
 	base := fmt.Sprintf("C%d_%d", u, k)
-	nprops := g.r.rangeInt(8, 14)
+	nprops := rangeInt(g.r, 8, 14)
 	fmt.Fprintf(b, "class %s {\n", base)
 	for p := 0; p < nprops; p++ {
-		fmt.Fprintf(b, "  prop p%d = %d;\n", p, g.r.intn(10))
+		fmt.Fprintf(b, "  prop p%d = %d;\n", p, g.r.Intn(10))
 	}
 	// Constructor touches the first two properties.
 	fmt.Fprintf(b, "  fun __construct(a) { this->p0 = a; this->p1 = a * %d; }\n",
-		g.r.rangeInt(2, 5))
+		rangeInt(g.r, 2, 5))
 	// Hot method: reads/writes early... actually reads *late* declared
 	// properties too, so reordering by hotness has something to move.
 	hotA := nprops - 1 // declared last but accessed hottest
@@ -168,15 +169,15 @@ func (g *siteGen) genClassFamily(b *strings.Builder, u, k int) {
 // acyclic and recursion-free.
 func (g *siteGen) genHelper(b *strings.Builder, hIdx int) {
 	name := g.helperNames[hIdx]
-	loop := g.r.rangeInt(loopMin, loopMax)
-	c1 := g.r.rangeInt(2, 9)
-	c2 := g.r.rangeInt(11, 97)
+	loop := rangeInt(g.r, loopMin, loopMax)
+	c1 := rangeInt(g.r, 2, 9)
+	c2 := rangeInt(g.r, 11, 97)
 	tailCall := ""
-	if next := hIdx + 1 + g.r.intn(7); next < len(g.helperNames) && g.r.float() < 0.6 {
+	if next := hIdx + 1 + g.r.Intn(7); next < len(g.helperNames) && g.r.Float() < 0.6 {
 		tailCall = fmt.Sprintf("  t += %s(t %% 53);\n", g.helperNames[next])
 	}
 
-	switch g.r.intn(5) {
+	switch g.r.Intn(5) {
 	case 0: // integer arithmetic loop (monomorphic int sites)
 		fmt.Fprintf(b, "fun %s(a) {\n  t = 0;\n  for (i = 0; i < %d; i += 1) { t += (a + i * %d) %% %d; }\n%s  return t;\n}\n",
 			name, loop, c1, c2, tailCall)
@@ -184,14 +185,14 @@ func (g *siteGen) genHelper(b *strings.Builder, hIdx int) {
 		fmt.Fprintf(b, "fun %s(a) {\n  s = \"\";\n  for (i = 0; i < %d; i += 1) { s = s . chr(65 + (a + i) %% 26); }\n  t = strlen(s) * %d;\n%s  return t;\n}\n",
 			name, loop, c1, tailCall)
 	case 2: // object workout (monomorphic method + property traffic)
-		cls := g.classNames[g.r.intn(len(g.classNames))]
+		cls := g.classNames[g.r.Intn(len(g.classNames))]
 		fmt.Fprintf(b, "fun %s(a) {\n  o = new %s(a);\n  t = 0;\n  for (i = 0; i < %d; i += 1) { t += o->bump(i); }\n  if (a %% 19 == 0) { t += o->coldSum(); }\n%s  return t;\n}\n",
 			name, cls, loop, tailCall)
 	case 3: // array workout
 		fmt.Fprintf(b, "fun %s(a) {\n  arr = [];\n  for (i = 0; i < %d; i += 1) { push(arr, (a * %d + i) %% %d); }\n  t = 0;\n  foreach (arr as v) { t += v; }\n%s  return t;\n}\n",
 			name, loop, c1, c2, tailCall)
 	default: // polymorphic dispatch (skewed 7:1 so sites stay guardable)
-		cls := g.classNames[g.r.intn(len(g.classNames))]
+		cls := g.classNames[g.r.Intn(len(g.classNames))]
 		fmt.Fprintf(b, "fun %s(a) {\n  if (a %% 8 == 0) { o = new %sB(a); } else { o = new %sA(a); }\n  t = 0;\n  for (i = 0; i < %d; i += 1) { t += o->val() + i; }\n%s  return t;\n}\n",
 			name, cls, cls, loop, tailCall)
 	}
@@ -199,11 +200,11 @@ func (g *siteGen) genHelper(b *strings.Builder, hIdx int) {
 
 // genEndpoint emits an endpoint calling 2-4 helpers.
 func (g *siteGen) genEndpoint(b *strings.Builder, name string, totalHelpers int) {
-	n := g.r.rangeInt(2, 4)
+	n := rangeInt(g.r, 2, 4)
 	fmt.Fprintf(b, "fun %s(seed) {\n  r = 0;\n", name)
 	for i := 0; i < n; i++ {
-		h := g.helperNames[g.r.intn(totalHelpers)]
-		fmt.Fprintf(b, "  r += %s((seed + %d) %% %d);\n", h, g.r.intn(1000), g.r.rangeInt(50, 500))
+		h := g.helperNames[g.r.Intn(totalHelpers)]
+		fmt.Fprintf(b, "  r += %s((seed + %d) %% %d);\n", h, g.r.Intn(1000), rangeInt(g.r, 50, 500))
 	}
 	fmt.Fprintf(b, "  return r;\n}\n")
 }

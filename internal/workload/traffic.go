@@ -1,6 +1,9 @@
 package workload
 
-import "jumpstart/internal/value"
+import (
+	"jumpstart/internal/netsim"
+	"jumpstart/internal/value"
+)
 
 // Request is one web request: an endpoint plus its argument.
 type Request struct {
@@ -16,9 +19,9 @@ type Request struct {
 // so different regions see genuinely different mixes; and a long tail
 // of rare endpoints keeps new code appearing for a long time.
 type Traffic struct {
-	r      *rng
+	r      *netsim.Stream
 	cum    []float64 // cumulative endpoint weights
-	argR   *rng
+	argR   *netsim.Stream
 	region int
 	bucket int
 }
@@ -45,7 +48,7 @@ func (s *Site) NewTraffic(region, bucket int, seed uint64) *Traffic {
 	t.cum = make([]float64, len(s.Endpoints))
 	total := 0.0
 	for i, ep := range s.Endpoints {
-		r := wr.float()
+		r := wr.Float()
 		// Flat-ish profile with a long tail: cubing the rank keeps
 		// most endpoints warm but leaves a tail of rarely-requested
 		// ones, which is what drives the paper's long C→D live-JIT
@@ -63,7 +66,7 @@ func (s *Site) NewTraffic(region, bucket int, seed uint64) *Traffic {
 // Next draws the next request.
 func (t *Traffic) Next() Request {
 	ep := pickWeighted(t.r, t.cum)
-	arg := int64(t.argR.intn(10_000))
+	arg := int64(t.argR.Intn(10_000))
 	return Request{Endpoint: ep, Arg: value.Int(arg)}
 }
 

@@ -205,17 +205,17 @@ func TestTrafficLongTailCoversEndpoints(t *testing.T) {
 func TestRNGHelpers(t *testing.T) {
 	r := newRNG(1)
 	for i := 0; i < 1000; i++ {
-		if v := r.intn(10); v < 0 || v >= 10 {
+		if v := r.Intn(10); v < 0 || v >= 10 {
 			t.Fatal("intn range")
 		}
-		if v := r.rangeInt(3, 7); v < 3 || v > 7 {
+		if v := rangeInt(r, 3, 7); v < 3 || v > 7 {
 			t.Fatal("rangeInt range")
 		}
-		if f := r.float(); f < 0 || f >= 1 {
+		if f := r.Float(); f < 0 || f >= 1 {
 			t.Fatal("float range")
 		}
 	}
-	if r.intn(0) != 0 || r.rangeInt(5, 5) != 5 {
+	if r.Intn(0) != 0 || rangeInt(r, 5, 5) != 5 {
 		t.Fatal("degenerate cases")
 	}
 	// pickWeighted respects weights.
