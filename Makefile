@@ -37,12 +37,14 @@ bench:
 # per-request ceiling, the store's crash-retry pick path (exclusion
 # lists in force) at zero allocations, a quiet fleet Tick at
 # parallel.ForEachShard's fixed cost with a C3 wave restart at zero,
-# and every telemetry call on a nil set at zero.
+# every telemetry call on a nil set at zero, and the replay cache's
+# admission decisions (a hit, a doorkeeper refusal, a full-cache
+# refusal) at zero.
 alloccheck:
 	$(GO) test -count=1 -v -run 'AllocFree|AllocRegression|TestStreamAllocFree' \
 		./internal/interp/ ./internal/microarch/ ./internal/server/ \
 		./internal/jumpstart/ ./internal/object/ ./internal/layout/ \
-		./internal/cluster/ ./internal/telemetry/
+		./internal/cluster/ ./internal/telemetry/ ./internal/replay/
 
 # CI gate: gofmt, vet, and the full suite under the race detector.
 # The parallel-vs-sequential determinism tests run here, so this also

@@ -24,6 +24,11 @@
 // stopped, tier-1 code still running while tier-2 compiles); only the
 // profiling window itself runs without the memoizer, because the
 // collector must see every execution.
+//
+// Capacity is bounded and nothing is evicted, so what the cache holds
+// is decided at admission: once it is ¾ full, a new key is captured
+// only on its second miss, and the last quarter goes to calls that
+// recur rather than to whichever calls came first.
 package replay
 
 import (
@@ -125,17 +130,29 @@ type Config struct {
 }
 
 // Cache capacity defaults. There is no eviction: correctness never
-// depends on hit rate, so a cache full of live entries simply stops
-// capturing new keys. The values are sized to the repo benchmark's
-// peak-RSS bound (DESIGN §5d): entries outlive the compiles that do
-// not touch them, so the cache does fill. Only every
-// MicroSampleEvery-th request records events, and an entry without
-// them still replays the unsampled requests from its base charges, so
-// the event budget can be small without costing hits.
+// depends on hit rate, so a cache full of live entries refuses new
+// keys, and what it holds is decided at admission instead. Below
+// gatedNum/gatedDen of MaxEntries a new key is captured on its first
+// miss; from there on only on a miss after its doorkeeper bit was
+// already set, so one-shot calls no longer take the last slots from
+// calls that recur. A key the cache holds is refreshed ungated, and a
+// stale-dropped key passes at once, its bit set when it was first
+// captured. The values are sized to the repo benchmark's peak-RSS
+// bound (DESIGN §5d): entries outlive the compiles that do not touch
+// them, so the cache does fill. Only every MicroSampleEvery-th request
+// records events, and an entry without them still replays the
+// unsampled requests from its base charges, so the event budget can be
+// small without costing hits.
 const (
 	DefaultMaxEntries = 1 << 12
 	DefaultMaxEvents  = 64 << 10
+
+	gatedNum, gatedDen = 3, 4
 )
+
+// doorBits sizes the doorkeeper: one bit per key hash, 16 KB per
+// cache, never reset.
+const doorBits = 17
 
 // Cache is one server's replay memoizer. It implements
 // interp.Memoizer. Not safe for concurrent use — like the rest of a
@@ -146,6 +163,9 @@ type Cache struct {
 	entries     map[key]*Entry
 	totalEvents int
 	swept       uint64 // JIT epoch of the last full-cache sweep
+
+	// The doorkeeper's bits, indexed by seen's hash.
+	door [1 << doorBits / 64]uint64
 
 	// The capture in flight: its key, and the call site's function,
 	// which is a dependency iff the call context is non-zero.
@@ -237,6 +257,44 @@ func (c *Cache) sweep() {
 			c.dropStale(k, e)
 		}
 	}
+}
+
+// seen sets k's doorkeeper bit and reports whether it was already
+// set. The hash is FNV-1a over the key's fields and string bytes: a
+// fixed function, so hit counts do not vary from run to run.
+func (c *Cache) seen(k *key) bool {
+	h := uint64(14695981039346656037)
+	h = fnvWord(h, uint64(k.fn))
+	h = fnvWord(h, k.ctx)
+	h = fnvWord(h, uint64(k.nargs)|uint64(k.k0)<<8|uint64(k.k1)<<16)
+	h = fnvWord(h, k.n0)
+	h = fnvWord(h, k.n1)
+	h = fnvString(h, k.s0)
+	h = fnvWord(h, uint64(len(k.s0))) // separates s0 from s1
+	h = fnvString(h, k.s1)
+	bit := h >> (64 - doorBits)
+	w, m := &c.door[bit/64], uint64(1)<<(bit%64)
+	was := *w&m != 0
+	*w |= m
+	return was
+}
+
+const fnvPrime = 1099511628211
+
+// fnvWord feeds w's eight bytes, low first, to FNV-1a state h.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ (w >> i & 0xff)) * fnvPrime
+	}
+	return h
+}
+
+// fnvString feeds s's bytes to FNV-1a state h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // makeKey builds the lookup key, rejecting calls whose arguments
@@ -361,8 +419,14 @@ func (c *Cache) BeginCapture(caller, callee *bytecode.Function, pc int,
 	}
 	// A key already present is a refresh (its entry lacks the event
 	// stream this request needs) and takes no new slot.
-	if c.full() && c.entries[k] == nil {
-		if c.sweep(); c.full() {
+	if c.entries[k] == nil {
+		seen := c.seen(&k)
+		if c.full() {
+			if c.sweep(); c.full() {
+				return false
+			}
+		}
+		if !seen && len(c.entries)*gatedDen >= c.cfg.MaxEntries*gatedNum {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math"
 	"testing"
 
 	"jumpstart/internal/bytecode"
@@ -426,6 +427,7 @@ func TestCacheRefillsAfterBulkRelocation(t *testing.T) {
 	c := tw.on.cache
 	tw.request(1, false)
 	tw.request(2, false)
+	tw.request(2, false) // past ¾ full, other(2) is admitted on its second miss
 	if c.Entries() != 4 {
 		t.Fatalf("%d entries, want a full cache of 4", c.Entries())
 	}
@@ -437,6 +439,7 @@ func TestCacheRefillsAfterBulkRelocation(t *testing.T) {
 	tw.each(func(s *stack) { optimize(t, s) })
 	tw.request(5, false)
 	tw.request(6, false)
+	tw.request(6, false) // the second miss that admits the fourth key
 	if c.Stale() != 4 {
 		t.Fatalf("%d stale drops, want the 4 pre-relocation entries", c.Stale())
 	}
@@ -447,4 +450,131 @@ func TestCacheRefillsAfterBulkRelocation(t *testing.T) {
 		t.Fatal("refilled entries never hit")
 	}
 	checkInstruments(t, tel, c)
+}
+
+// fillToGate serves handler(1..3), whose six top-level keys bring a
+// MaxEntries 8 cache to ¾ full, where the doorkeeper starts to act.
+func fillToGate(tw *twin) {
+	tw.t.Helper()
+	for n := int64(1); n <= 3; n++ {
+		tw.request(n, false)
+	}
+	if got := tw.on.cache.Entries(); got != 6 {
+		tw.t.Fatalf("%d entries, want 6 (¾ of 8)", got)
+	}
+}
+
+// TestOneShotKeysLeaveTheLastQuarter: once the cache is ¾ full, a key
+// seen once takes no slot, and a key looked up again is captured on
+// its second miss.
+func TestOneShotKeysLeaveTheLastQuarter(t *testing.T) {
+	tw := newTwin(t, roomy(), Config{MaxEntries: 8})
+	c := tw.on.cache
+	fillToGate(tw)
+	// Ten requests, twenty one-shot keys: mid(n) and other(n). n steps
+	// by 2 so that no leaf(x) looked up inside an uncaptured mid recurs.
+	for n := int64(100); n < 120; n += 2 {
+		if hits := tw.request(n, false); hits != 0 {
+			t.Fatalf("handler(%d): %d hits on fresh keys", n, hits)
+		}
+	}
+	if got := c.Entries(); got != 6 {
+		t.Fatalf("one-shot keys took %d slots of the last quarter", got-6)
+	}
+	if hits := tw.request(100, false); hits != 0 || c.Entries() != 8 {
+		t.Fatalf("second lookup: %d hits, %d entries; want 0 and both keys captured",
+			hits, c.Entries())
+	}
+	if hits := tw.request(100, false); hits != 2 {
+		t.Fatalf("third lookup: %d hits, want 2", hits)
+	}
+}
+
+// TestHeldAndStaleKeysPassTheDoorkeeper: past ¾ full, a key the cache
+// holds is refreshed on its first miss (its entry lacks the event
+// stream a sampled request needs), and so is a key dropped as stale,
+// whose bit was set when it was first captured.
+func TestHeldAndStaleKeysPassTheDoorkeeper(t *testing.T) {
+	tw := newTwin(t, roomy(), Config{MaxEntries: 8})
+	c := tw.on.cache
+	fillToGate(tw)
+	tw.request(1, true) // both entries lack events: refreshed in place
+	if hits := tw.request(1, true); hits != 2 {
+		t.Fatalf("sampled request: %d hits; the refresh was gated", hits)
+	}
+	tw.request(100, false)
+	if got := c.Entries(); got != 6 {
+		t.Fatalf("%d entries: fresh keys passed the doorkeeper at ¾ full", got)
+	}
+	tw.request(100, false)
+	if got := c.Entries(); got != 8 {
+		t.Fatalf("%d entries, want mid(100) and other(100) on their second miss", got)
+	}
+
+	tw.each(func(s *stack) {
+		if _, err := s.j.CompileLive(s.fn(t, "leaf")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// mid(1) entered leaf: dropped at lookup, leaving 7 entries, and
+	// recaptured on the same miss although the cache is past ¾ full.
+	if hits := tw.request(1, false); hits != 1 || c.Stale() != 1 || c.Entries() != 8 {
+		t.Fatalf("after leaf's compile: %d hits, %d stale, %d entries; want 1, 1, 8",
+			hits, c.Stale(), c.Entries())
+	}
+	if hits := tw.request(1, false); hits != 2 {
+		t.Fatalf("%d hits, want mid(1) recaptured and other(1)", hits)
+	}
+}
+
+// TestAdmissionAllocFree: the calls that decide admission allocate
+// nothing — a replay hit, a capture the doorkeeper refuses and a
+// capture a full cache refuses.
+func TestAdmissionAllocFree(t *testing.T) {
+	s := newStack(t, roomy(), &Config{MaxEntries: 8})
+	c := s.cache
+	serve := func(n int64) {
+		s.rt.BeginRequest(false)
+		if _, err := s.ip.CallByName("handler", value.Int(n)); err != nil {
+			t.Fatal(err)
+		}
+		s.rt.TakeCycles()
+	}
+	for n := int64(1); n <= 3; n++ {
+		serve(n)
+	}
+	handler, mid := s.fn(t, "handler"), s.fn(t, "mid")
+	args := []value.Value{value.Int(1)}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, _, ok := c.TryReplay(handler, mid, 0, args, math.MaxInt64, 1<<20); !ok {
+			t.Fatal("mid(1) did not replay")
+		}
+	}); a != 0 {
+		t.Fatalf("replay hit: %v allocs", a)
+	}
+
+	n := int64(1000)
+	if a := testing.AllocsPerRun(100, func() {
+		n++
+		args[0] = value.Int(n)
+		if c.BeginCapture(handler, mid, 0, args) {
+			t.Fatalf("fresh key mid(%d) admitted at ¾ full", n)
+		}
+	}); a != 0 {
+		t.Fatalf("doorkeeper refusal: %v allocs", a)
+	}
+
+	serve(50) // seen once
+	serve(50) // admitted: the cache is full
+	if c.Entries() != 8 {
+		t.Fatalf("%d entries, want a full cache of 8", c.Entries())
+	}
+	args[0] = value.Int(1000) // its bit was set above
+	if a := testing.AllocsPerRun(100, func() {
+		if c.BeginCapture(handler, mid, 0, args) {
+			t.Fatal("a full cache admitted a new key")
+		}
+	}); a != 0 {
+		t.Fatalf("full-cache refusal: %v allocs", a)
+	}
 }
